@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet staticcheck check bench-lp
+.PHONY: all build test race lint vet staticcheck check bench-lp bench-smoke
 
 all: build test lint
 
@@ -36,5 +36,12 @@ staticcheck:
 # enforced at n >= 512. Writes BENCH_lp.json in the repo root.
 bench-lp:
 	$(GO) run ./cmd/bcast-lpbench -sizes 96,256,512,1024 -seed 7 -min-speedup 5 -speedup-from 512 -pretty -o BENCH_lp.json
+
+# bench-smoke mirrors the CI test job's benchmark step: bench/ is its own
+# module, so the root `go test ./...` does not compile its adapter; this
+# does, then runs one smoke-scale workload through the real entry point.
+bench-smoke:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload cold-sep --scale smoke
 
 check: build test lint

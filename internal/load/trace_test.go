@@ -53,6 +53,11 @@ func TestReplayTraceDeterminismAcrossWorkers(t *testing.T) {
 				_, _, _, dump := replayTraced(t, tc.mix, tc.seed, workers)
 				if ref == nil {
 					ref = dump
+					// The separation flow count is on the deterministic side
+					// of the solve span, the separation wall is not.
+					if !bytes.Contains(dump, []byte(`"flows"`)) || bytes.Contains(dump, []byte(`"sepNs"`)) {
+						t.Fatalf("dump should carry solve-span flow counts and no separation wall:\n%s", dump)
+					}
 					continue
 				}
 				if !bytes.Equal(dump, ref) {
@@ -90,8 +95,11 @@ func TestReplayTraceContents(t *testing.T) {
 			t.Fatalf("trace %s has no events", tr.ID)
 		}
 		for _, ev := range tr.Events {
-			if ev.TNs != 0 || ev.DurNs != 0 {
+			if ev.TNs != 0 || ev.DurNs != 0 || ev.SepNs != 0 {
 				t.Fatalf("deterministic trace %s event stamped with wall clock: %+v", tr.ID, ev)
+			}
+			if ev.Kind == obs.SpanSolve && ev.Err == "" && ev.Flows <= 0 {
+				t.Fatalf("deterministic trace %s: solve span without its separation flow count: %+v", tr.ID, ev)
 			}
 			if ev.Kind == obs.SpanQueueWait {
 				t.Fatalf("deterministic trace %s carries a queue-wait span (wall-only): %+v", tr.ID, tr.Events)

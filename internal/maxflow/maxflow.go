@@ -8,21 +8,43 @@ import (
 // epsilon below which capacities and flows are treated as zero.
 const eps = 1e-12
 
-// edge is an internal arc of the residual network. Arcs are stored in pairs:
-// arc 2k is the forward arc of user edge k and arc 2k+1 is its reverse.
-type edge struct {
-	to  int
-	cap float64 // remaining capacity
+// adjEntry is one slot of the CSR adjacency: an arc leaving the row's node
+// and the node it enters, side by side so that a scan reads the head's label
+// without touching the capacity array.
+type adjEntry struct {
+	arc int32
+	to  int32
 }
 
-// Network is a flow network with float64 capacities.
+// Network is a flow network with float64 capacities. Arcs are stored in
+// pairs: arc 2k is the forward arc of user edge k and arc 2k+1 its reverse,
+// so the partner of arc a is a^1. All scratch memory is owned by the handle;
+// after the first flow nothing on the flow path allocates.
 type Network struct {
-	n     int
-	arcs  []edge
-	adj   [][]int // node -> arc indices
-	orig  []float64
-	level []int
-	iter  []int
+	n    int
+	to   []int32   // arc -> head node (the tail is to[arc^1])
+	rcap []float64 // arc -> remaining capacity
+	orig []float64 // edge -> capacity
+
+	// CSR index over the arcs, rebuilt lazily after AddEdge: the arcs leaving
+	// node u are adj[first[u]:first[u+1]], in increasing arc order (the order
+	// in which AddEdge listed them).
+	built bool
+	first []int32
+	adj   []adjEntry
+
+	level []int32 // residual distance to the sink in the current phase, -1 = unlabeled
+	iter  []int32 // node -> next adj slot to try in the current phase
+	queue []int32 // BFS queue of the last labeling (also: the nodes to unlabel)
+	cutq  []int32 // BFS queue of the min-cut searches
+	path  []int32 // arcs of the current DFS path, source first
+
+	touched []int32 // edges carrying flow since the last Reset
+	dirty   []bool  // edge -> listed in touched
+
+	// truncated is set by a flow that stopped on its bound: the residual
+	// network is then not that of a maximum flow and holds no minimum cut.
+	truncated bool
 }
 
 // New returns an empty network with n nodes.
@@ -30,32 +52,37 @@ func New(n int) *Network {
 	if n < 0 {
 		panic(fmt.Sprintf("maxflow: negative node count %d", n))
 	}
-	return &Network{
-		n:   n,
-		adj: make([][]int, n),
-	}
+	return &Network{n: n}
 }
 
 // NumNodes returns the number of nodes of the network.
 func (nw *Network) NumNodes() int { return nw.n }
 
 // NumEdges returns the number of user edges (not counting reverse arcs).
-func (nw *Network) NumEdges() int { return len(nw.arcs) / 2 }
+func (nw *Network) NumEdges() int { return len(nw.orig) }
+
+// clampCapacity maps the capacities that carry nothing to zero.
+func clampCapacity(c float64) float64 {
+	if c < 0 || math.IsNaN(c) {
+		return 0
+	}
+	return c
+}
 
 // AddEdge adds a directed edge with the given capacity and returns its edge
-// ID. Negative capacities are treated as zero.
+// ID. Negative and NaN capacities are treated as zero; capacities must be
+// finite.
 func (nw *Network) AddEdge(from, to int, capacity float64) int {
 	if from < 0 || from >= nw.n || to < 0 || to >= nw.n {
 		panic(fmt.Sprintf("maxflow: edge (%d, %d) out of range [0, %d)", from, to, nw.n))
 	}
-	if capacity < 0 || math.IsNaN(capacity) {
-		capacity = 0
-	}
-	id := len(nw.arcs) / 2
-	nw.arcs = append(nw.arcs, edge{to: to, cap: capacity}, edge{to: from, cap: 0})
-	nw.adj[from] = append(nw.adj[from], 2*id)
-	nw.adj[to] = append(nw.adj[to], 2*id+1)
+	capacity = clampCapacity(capacity)
+	id := len(nw.orig)
+	nw.to = append(nw.to, int32(to), int32(from))
+	nw.rcap = append(nw.rcap, capacity, 0)
 	nw.orig = append(nw.orig, capacity)
+	nw.dirty = append(nw.dirty, false)
+	nw.built = false
 	return id
 }
 
@@ -63,77 +90,167 @@ func (nw *Network) AddEdge(from, to int, capacity float64) int {
 // Call Reset (or SetCapacity on every edge) before re-running MaxFlow with
 // new capacities.
 func (nw *Network) SetCapacity(edgeID int, capacity float64) {
-	if capacity < 0 || math.IsNaN(capacity) {
-		capacity = 0
-	}
+	capacity = clampCapacity(capacity)
 	nw.orig[edgeID] = capacity
-	nw.arcs[2*edgeID].cap = capacity
-	nw.arcs[2*edgeID+1].cap = 0
+	nw.rcap[2*edgeID] = capacity
+	nw.rcap[2*edgeID+1] = 0
 }
 
-// Reset restores every edge to its original capacity, removing all flow.
+// Reset restores every edge to its original capacity, removing all flow. It
+// visits only the edges the flows since the previous Reset pushed through.
 func (nw *Network) Reset() {
-	for id, c := range nw.orig {
-		nw.arcs[2*id].cap = c
-		nw.arcs[2*id+1].cap = 0
+	for _, id := range nw.touched {
+		nw.rcap[2*id] = nw.orig[id]
+		nw.rcap[2*id+1] = 0
+		nw.dirty[id] = false
 	}
+	nw.touched = nw.touched[:0]
+	nw.truncated = false
 }
 
 // Flow returns the amount of flow currently routed through a user edge
 // (meaningful after MaxFlow).
 func (nw *Network) Flow(edgeID int) float64 {
-	f := nw.orig[edgeID] - nw.arcs[2*edgeID].cap
+	f := nw.orig[edgeID] - nw.rcap[2*edgeID]
 	if f < eps {
 		return 0
 	}
 	return f
 }
 
-// bfsLevels builds the level graph for Dinic's algorithm. It returns true if
-// the sink is reachable in the residual network.
-func (nw *Network) bfsLevels(s, t int) bool {
-	if nw.level == nil {
-		nw.level = make([]int, nw.n)
+// build (re)computes the CSR index and sizes the scratch buffers. Residual
+// capacities live in the arc arrays, so flow already routed survives.
+func (nw *Network) build() {
+	n, m := nw.n, len(nw.to)
+	if nw.first == nil {
+		nw.first = make([]int32, n+1)
+		nw.level = make([]int32, n)
+		for i := range nw.level {
+			nw.level[i] = -1
+		}
+		nw.iter = make([]int32, n)
+		nw.queue = make([]int32, 0, n)
+		nw.cutq = make([]int32, 0, n)
+		nw.path = make([]int32, 0, n)
 	}
-	for i := range nw.level {
-		nw.level[i] = -1
+	for i := range nw.first {
+		nw.first[i] = 0
 	}
-	queue := make([]int, 0, nw.n)
-	queue = append(queue, s)
-	nw.level[s] = 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, ai := range nw.adj[u] {
-			a := nw.arcs[ai]
-			if a.cap > eps && nw.level[a.to] < 0 {
-				nw.level[a.to] = nw.level[u] + 1
-				queue = append(queue, a.to)
+	for a := 0; a < m; a++ {
+		nw.first[nw.to[a^1]+1]++
+	}
+	for u := 0; u < n; u++ {
+		nw.first[u+1] += nw.first[u]
+	}
+	if cap(nw.adj) < m {
+		nw.adj = make([]adjEntry, m)
+	}
+	nw.adj = nw.adj[:m]
+	next := nw.iter // free between flows
+	copy(next, nw.first[:n])
+	for a := 0; a < m; a++ {
+		u := nw.to[a^1]
+		nw.adj[next[u]] = adjEntry{arc: int32(a), to: nw.to[a]}
+		next[u]++
+	}
+	nw.built = true
+}
+
+// labelFromSink labels every node with its residual distance to t, breadth
+// first from t over the arcs entering each node, and stops the moment s is
+// labeled: nodes at s's distance or farther lie on no shortest s-t path. It
+// reports whether s can reach t.
+func (nw *Network) labelFromSink(s, t int32) bool {
+	level, iter, first, adj, rcap := nw.level, nw.iter, nw.first, nw.adj, nw.rcap
+	for _, v := range nw.queue {
+		level[v] = -1
+	}
+	q := append(nw.queue[:0], t)
+	level[t] = 0
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		lv := level[u] + 1
+		for _, e := range adj[first[u]:first[u+1]] {
+			// e leaves u towards e.to; its partner enters u from e.to.
+			if level[e.to] >= 0 || !(rcap[e.arc^1] > eps) {
+				continue
+			}
+			level[e.to] = lv
+			iter[e.to] = first[e.to]
+			q = append(q, e.to)
+			if e.to == s {
+				nw.queue = q
+				return true
 			}
 		}
 	}
-	return nw.level[t] >= 0
+	nw.queue = q
+	return false
 }
 
-// dfsBlocking pushes flow along the level graph (blocking-flow step).
-func (nw *Network) dfsBlocking(u, t int, pushed float64) float64 {
-	if u == t {
-		return pushed
-	}
-	for ; nw.iter[u] < len(nw.adj[u]); nw.iter[u]++ {
-		ai := nw.adj[u][nw.iter[u]]
-		a := &nw.arcs[ai]
-		if a.cap <= eps || nw.level[a.to] != nw.level[u]+1 {
+// blockingFlow saturates the level graph of the current labeling with one
+// iterative depth-first search and returns the grown total. A node's arcs
+// are tried in CSR order from its iter slot; after an augmentation the
+// search resumes at the tail of the first arc the push saturated, since a
+// restart from s would only walk the untouched prefix of the path again. It
+// stops early, reporting true, once total reaches limit.
+func (nw *Network) blockingFlow(s, t int32, total, limit float64) (float64, bool) {
+	level, iter, first, adj, rcap, to := nw.level, nw.iter, nw.first, nw.adj, nw.rcap, nw.to
+	path := nw.path[:0]
+	u := s
+	for {
+		if u == t {
+			// Every arc on the path holds more than eps, so a plain
+			// comparison is math.Min without its NaN and signed-zero cases.
+			d := math.Inf(1)
+			for _, a := range path {
+				if c := rcap[a]; c < d {
+					d = c
+				}
+			}
+			cut := len(path)
+			for k := len(path) - 1; k >= 0; k-- {
+				a := path[k]
+				rcap[a] -= d
+				rcap[a^1] += d
+				if !(rcap[a] > eps) {
+					cut = k
+				}
+				if id := a >> 1; !nw.dirty[id] {
+					nw.dirty[id] = true
+					nw.touched = append(nw.touched, id)
+				}
+			}
+			total += d
+			if total >= limit {
+				return total, true
+			}
+			u = to[path[cut]^1]
+			path = path[:cut]
 			continue
 		}
-		d := nw.dfsBlocking(a.to, t, math.Min(pushed, a.cap))
-		if d > eps {
-			a.cap -= d
-			nw.arcs[ai^1].cap += d
-			return d
+		want := level[u] - 1
+		i, end := iter[u], first[u+1]
+		for ; i < end; i++ {
+			if e := adj[i]; level[e.to] == want && rcap[e.arc] > eps {
+				break
+			}
+		}
+		iter[u] = i
+		switch {
+		case i < end:
+			path = append(path, adj[i].arc)
+			u = adj[i].to
+		case u == s:
+			return total, false
+		default:
+			// Dead end: back up one arc and move its tail past it.
+			a := path[len(path)-1]
+			path = path[:len(path)-1]
+			u = to[a^1]
+			iter[u]++
 		}
 	}
-	return 0
 }
 
 // MaxFlow computes the maximum flow from s to t with Dinic's algorithm and
@@ -141,26 +258,41 @@ func (nw *Network) dfsBlocking(u, t int, pushed float64) float64 {
 // MinCutSourceSide); call Reset before computing a flow with fresh
 // capacities.
 func (nw *Network) MaxFlow(s, t int) float64 {
+	return nw.MaxFlowBounded(s, t, math.Inf(1))
+}
+
+// MaxFlowBounded is MaxFlow for callers that only compare the flow value
+// with a threshold: it stops augmenting the moment the value reaches limit.
+//
+// A return value below limit is the exact maximum flow, computed by the very
+// augmentations MaxFlow performs, and the residual network holds its minimum
+// cuts. Otherwise the return value is limit itself — never a sliver short of
+// it: the bound only ever stops the search after a whole augmentation, it
+// never shrinks one — the maximum flow is at least limit, and the residual
+// network is that of a partial flow: the MinCut methods panic until the
+// next Reset. A NaN limit never binds; a limit <= 0 binds before any
+// augmentation.
+func (nw *Network) MaxFlowBounded(s, t int, limit float64) float64 {
 	if s < 0 || s >= nw.n || t < 0 || t >= nw.n {
 		panic(fmt.Sprintf("maxflow: source/sink (%d, %d) out of range [0, %d)", s, t, nw.n))
 	}
+	if 0 >= limit {
+		nw.truncated = true
+		return limit
+	}
+	nw.truncated = false
 	if s == t {
 		return 0
 	}
-	var total float64
-	if nw.iter == nil {
-		nw.iter = make([]int, nw.n)
+	if !nw.built {
+		nw.build()
 	}
-	for nw.bfsLevels(s, t) {
-		for i := range nw.iter {
-			nw.iter[i] = 0
-		}
-		for {
-			pushed := nw.dfsBlocking(s, t, math.Inf(1))
-			if pushed <= eps {
-				break
-			}
-			total += pushed
+	var total float64
+	for nw.labelFromSink(int32(s), int32(t)) {
+		var stop bool
+		if total, stop = nw.blockingFlow(int32(s), int32(t), total, limit); stop {
+			nw.truncated = true
+			return limit
 		}
 	}
 	return total
@@ -170,24 +302,32 @@ func (nw *Network) MaxFlow(s, t int) float64 {
 // from s in the residual network. The edges leaving this set form a minimum
 // s-t cut.
 func (nw *Network) MinCutSourceSide(s int) []bool {
-	reach := make([]bool, nw.n)
-	if s < 0 || s >= nw.n {
-		return reach
+	return nw.MinCutSourceSideInto(s, make([]bool, nw.n))
+}
+
+// MinCutSourceSideInto is MinCutSourceSide writing into side, which must
+// hold one entry per node; it returns side.
+func (nw *Network) MinCutSourceSideInto(s int, side []bool) []bool {
+	side = side[:nw.n]
+	for i := range side {
+		side[i] = false
 	}
-	queue := []int{s}
-	reach[s] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, ai := range nw.adj[u] {
-			a := nw.arcs[ai]
-			if a.cap > eps && !reach[a.to] {
-				reach[a.to] = true
-				queue = append(queue, a.to)
+	if s < 0 || s >= nw.n {
+		return side
+	}
+	nw.beforeCut()
+	q := append(nw.cutq[:0], int32(s))
+	side[s] = true
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		for _, e := range nw.adj[nw.first[u]:nw.first[u+1]] {
+			if !side[e.to] && nw.rcap[e.arc] > eps {
+				side[e.to] = true
+				q = append(q, e.to)
 			}
 		}
 	}
-	return reach
+	return side
 }
 
 // MinCutSinkSide returns, after MaxFlow(s, t), the complement of the set of
@@ -196,33 +336,49 @@ func (nw *Network) MinCutSourceSide(s int) []bool {
 // MinCutSourceSide), which is useful to generate several violated
 // constraints per separation round in cutting-plane algorithms.
 func (nw *Network) MinCutSinkSide(t int) []bool {
-	canReach := make([]bool, nw.n)
+	return nw.MinCutSinkSideInto(t, make([]bool, nw.n))
+}
+
+// MinCutSinkSideInto is MinCutSinkSide writing into side, which must hold
+// one entry per node; it returns side.
+func (nw *Network) MinCutSinkSideInto(t int, side []bool) []bool {
+	side = side[:nw.n]
 	if t < 0 || t >= nw.n {
-		return canReach
+		for i := range side {
+			side[i] = false
+		}
+		return side
 	}
 	// Reverse reachability: v can reach t if some residual arc v -> u exists
-	// with u already able to reach t.
-	queue := []int{t}
-	canReach[t] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, ai := range nw.adj[u] {
-			// Arc ai leaves u; its paired arc ai^1 enters u from arcs[ai].to.
-			// v = arcs[ai].to can reach t through the residual arc v -> u iff
-			// that arc (ai^1) has residual capacity.
-			v := nw.arcs[ai].to
-			if !canReach[v] && nw.arcs[ai^1].cap > eps {
-				canReach[v] = true
-				queue = append(queue, v)
+	// with u already able to reach t. side[v] stays true until v is reached.
+	for i := range side {
+		side[i] = true
+	}
+	nw.beforeCut()
+	q := append(nw.cutq[:0], int32(t))
+	side[t] = false
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		for _, e := range nw.adj[nw.first[u]:nw.first[u+1]] {
+			// e leaves u; its partner is the residual arc e.to -> u.
+			if side[e.to] && nw.rcap[e.arc^1] > eps {
+				side[e.to] = false
+				q = append(q, e.to)
 			}
 		}
 	}
-	side := make([]bool, nw.n)
-	for v := range side {
-		side[v] = !canReach[v]
-	}
 	return side
+}
+
+// beforeCut guards the min-cut searches against the one misuse that yields
+// a wrong answer instead of a crash, and makes sure the CSR index exists.
+func (nw *Network) beforeCut() {
+	if nw.truncated {
+		panic("maxflow: minimum cut requested after a flow that stopped on its bound")
+	}
+	if !nw.built {
+		nw.build()
+	}
 }
 
 // CutEdges returns the user-edge IDs that cross the given cut from the
@@ -231,11 +387,9 @@ func (nw *Network) MinCutSinkSide(t int) []bool {
 func (nw *Network) CutEdges(sourceSide []bool) []int {
 	var ids []int
 	for id := 0; id < nw.NumEdges(); id++ {
-		// The forward arc 2*id enters arcs[2*id].to; its reverse arc points
-		// back to the tail node.
-		to := nw.arcs[2*id].to
-		from := nw.arcs[2*id+1].to
-		if sourceSide[from] && !sourceSide[to] {
+		// The forward arc 2*id enters to[2*id]; its reverse arc points back
+		// to the tail node.
+		if sourceSide[nw.to[2*id+1]] && !sourceSide[nw.to[2*id]] {
 			ids = append(ids, id)
 		}
 	}

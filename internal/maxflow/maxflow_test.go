@@ -256,3 +256,167 @@ func TestAgainstBruteForceOnSmallGraphs(t *testing.T) {
 		}
 	}
 }
+
+// refNetwork is the recursive Dinic this package shipped before the kernel
+// was rebuilt (forward levels from the source, a depth-first search that
+// restarts at the source after every augmentation, a full Reset). It is kept
+// verbatim as the oracle of the differential and fuzz tiers: the production
+// kernel must reproduce its flow values, per-edge flows and minimum cuts bit
+// for bit.
+type refNetwork struct {
+	n     int
+	arcs  []refArc
+	adj   [][]int
+	orig  []float64
+	level []int
+	iter  []int
+}
+
+type refArc struct {
+	to  int
+	cap float64
+}
+
+func newRef(n int) *refNetwork { return &refNetwork{n: n, adj: make([][]int, n)} }
+
+func (nw *refNetwork) AddEdge(from, to int, capacity float64) int {
+	if capacity < 0 || math.IsNaN(capacity) {
+		capacity = 0
+	}
+	id := len(nw.arcs) / 2
+	nw.arcs = append(nw.arcs, refArc{to: to, cap: capacity}, refArc{to: from, cap: 0})
+	nw.adj[from] = append(nw.adj[from], 2*id)
+	nw.adj[to] = append(nw.adj[to], 2*id+1)
+	nw.orig = append(nw.orig, capacity)
+	return id
+}
+
+func (nw *refNetwork) SetCapacity(edgeID int, capacity float64) {
+	if capacity < 0 || math.IsNaN(capacity) {
+		capacity = 0
+	}
+	nw.orig[edgeID] = capacity
+	nw.arcs[2*edgeID].cap = capacity
+	nw.arcs[2*edgeID+1].cap = 0
+}
+
+func (nw *refNetwork) Reset() {
+	for id, c := range nw.orig {
+		nw.arcs[2*id].cap = c
+		nw.arcs[2*id+1].cap = 0
+	}
+}
+
+func (nw *refNetwork) Flow(edgeID int) float64 {
+	f := nw.orig[edgeID] - nw.arcs[2*edgeID].cap
+	if f < eps {
+		return 0
+	}
+	return f
+}
+
+func (nw *refNetwork) bfsLevels(s, t int) bool {
+	if nw.level == nil {
+		nw.level = make([]int, nw.n)
+	}
+	for i := range nw.level {
+		nw.level[i] = -1
+	}
+	queue := []int{s}
+	nw.level[s] = 0
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, ai := range nw.adj[u] {
+			a := nw.arcs[ai]
+			if a.cap > eps && nw.level[a.to] < 0 {
+				nw.level[a.to] = nw.level[u] + 1
+				queue = append(queue, a.to)
+			}
+		}
+	}
+	return nw.level[t] >= 0
+}
+
+func (nw *refNetwork) dfsBlocking(u, t int, pushed float64) float64 {
+	if u == t {
+		return pushed
+	}
+	for ; nw.iter[u] < len(nw.adj[u]); nw.iter[u]++ {
+		ai := nw.adj[u][nw.iter[u]]
+		a := &nw.arcs[ai]
+		if a.cap <= eps || nw.level[a.to] != nw.level[u]+1 {
+			continue
+		}
+		d := nw.dfsBlocking(a.to, t, math.Min(pushed, a.cap))
+		if d > eps {
+			a.cap -= d
+			nw.arcs[ai^1].cap += d
+			return d
+		}
+	}
+	return 0
+}
+
+func (nw *refNetwork) MaxFlow(s, t int) float64 {
+	if s == t {
+		return 0
+	}
+	var total float64
+	if nw.iter == nil {
+		nw.iter = make([]int, nw.n)
+	}
+	for nw.bfsLevels(s, t) {
+		for i := range nw.iter {
+			nw.iter[i] = 0
+		}
+		for {
+			pushed := nw.dfsBlocking(s, t, math.Inf(1))
+			if pushed <= eps {
+				break
+			}
+			total += pushed
+		}
+	}
+	return total
+}
+
+func (nw *refNetwork) MinCutSourceSide(s int) []bool {
+	reach := make([]bool, nw.n)
+	queue := []int{s}
+	reach[s] = true
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, ai := range nw.adj[u] {
+			a := nw.arcs[ai]
+			if a.cap > eps && !reach[a.to] {
+				reach[a.to] = true
+				queue = append(queue, a.to)
+			}
+		}
+	}
+	return reach
+}
+
+func (nw *refNetwork) MinCutSinkSide(t int) []bool {
+	canReach := make([]bool, nw.n)
+	queue := []int{t}
+	canReach[t] = true
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, ai := range nw.adj[u] {
+			v := nw.arcs[ai].to
+			if !canReach[v] && nw.arcs[ai^1].cap > eps {
+				canReach[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	side := make([]bool, nw.n)
+	for v := range side {
+		side[v] = !canReach[v]
+	}
+	return side
+}

@@ -23,9 +23,9 @@ const (
 	// SpanQueueWait reports time spent waiting for a solve lane. It is
 	// wall-clock data, so it is emitted only by a WallClock tracer.
 	SpanQueueWait SpanKind = "queue-wait"
-	// SpanSolve is one steady-state solve: cutting-plane rounds, cuts, and
-	// the simplex pivot counts (warm/cold split) of this resolve, sourced
-	// from the incremental LP statistics.
+	// SpanSolve is one steady-state solve: cutting-plane rounds, cuts, the
+	// simplex pivot counts (warm/cold split) of this resolve, sourced from
+	// the incremental LP statistics, and the separation max-flow count.
 	SpanSolve SpanKind = "solve"
 	// SpanDegraded is the immediate heuristic answer of degraded mode.
 	SpanDegraded SpanKind = "degraded"
@@ -85,6 +85,12 @@ type Event struct {
 	Pivots     int `json:"pivots,omitempty"`
 	WarmPivots int `json:"warmPivots,omitempty"`
 	ColdPivots int `json:"coldPivots,omitempty"`
+	// Solve: the max-flows cut separation ran (one per alive destination per
+	// round), and the wall-clock time separation took — the solve's other
+	// large stage besides the master LP. Like DurNs, SepNs is set only on
+	// WallClock traces.
+	Flows int   `json:"flows,omitempty"`
+	SepNs int64 `json:"sepNs,omitempty"`
 	// Degraded: the heuristic that produced the immediate answer.
 	Heuristic string `json:"heuristic,omitempty"`
 	// Cancel: where the request was abandoned.

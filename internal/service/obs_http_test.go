@@ -84,6 +84,13 @@ func TestHTTPTraceHeaderAndEndpoint(t *testing.T) {
 		if tr.StartNs == 0 {
 			t.Fatalf("WallClock trace missing StartNs: %+v", tr)
 		}
+		// A solve span says where its time went: the separation wall sits
+		// inside the span's own duration.
+		for _, ev := range tr.Events {
+			if ev.Kind == obs.SpanSolve && (ev.Flows <= 0 || ev.SepNs <= 0 || ev.SepNs > ev.DurNs) {
+				t.Fatalf("WallClock solve span without a separation stage: %+v", ev)
+			}
+		}
 	}
 	if env.Traces[0].ID != traceIDs[1] {
 		t.Fatalf("dump not most-recent-first: got %q, want %q first", env.Traces[0].ID, traceIDs[1])

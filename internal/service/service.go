@@ -1222,9 +1222,11 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 		Pivots:     sol.LPIterations,
 		WarmPivots: sol.WarmPivots,
 		ColdPivots: sol.ColdPivots,
+		Flows:      sol.MaxFlows,
 	}
 	if tc.Wall() {
 		sev.DurNs = elapsed.Nanoseconds()
+		sev.SepNs = sol.SepWallNanos
 	}
 	tc.Add(sev)
 

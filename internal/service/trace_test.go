@@ -85,7 +85,11 @@ func TestEngineTraceLifecycle(t *testing.T) {
 	if solve.Pivots <= 0 || solve.Rounds <= 0 {
 		t.Fatalf("solve span has no LP stats: %+v", solve)
 	}
-	if solve.DurNs != 0 || cold.StartNs != 0 {
+	// One max-flow per destination per round.
+	if want := solve.Rounds * (first.Plan.Nodes - 1); solve.Flows != want {
+		t.Fatalf("solve span counts %d separation flows, want %d: %+v", solve.Flows, want, solve)
+	}
+	if solve.DurNs != 0 || solve.SepNs != 0 || cold.StartNs != 0 {
 		t.Fatalf("deterministic trace leaked wall-clock fields: %+v", cold)
 	}
 	wantWarm := []obs.SpanKind{obs.SpanBase, obs.SpanLookup, obs.SpanAdmit, obs.SpanSolve}

@@ -12,7 +12,10 @@
 //     is exactly {per-node one-port occupation constraints} together with
 //     {for every destination w and every source→w cut C: Σ_{e∈C} n_e ≥ TP}.
 //     A small master LP over (n, TP) is solved repeatedly, violated cuts
-//     being separated with a max-flow computation per destination. The
+//     being separated with a max-flow computation per destination — each
+//     bounded by the violation threshold it is compared with, on a
+//     session-owned network, so that a separation sweep allocates only for
+//     the cuts it adds (see "Cut separation" in docs/ARCHITECTURE.md). The
 //     master is held in one warm-started incremental solver (lp.Incremental)
 //     across rounds: after round one, each re-solve prices the newly
 //     separated cut rows into the previous optimal basis and re-optimizes
@@ -24,5 +27,7 @@
 //
 //   - SolveDirect encodes LP (2) directly (per-destination flow variables);
 //     its size grows as |E|·|V| so it is only practical for small platforms,
-//     where it cross-checks the cutting-plane solver in tests.
+//     where it cross-checks the cutting-plane solver in tests. The point
+//     the dense simplex returns is certified against the model before it is
+//     reported; a point that fails is ErrLPFailed, never a throughput.
 package steady

@@ -2,10 +2,10 @@ package steady
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/lp"
@@ -55,14 +55,17 @@ type Session struct {
 	// simplex with a maintained basis factorization (lp.Revised).
 	problem *lp.Problem
 	inc     master
-	seen    map[string]bool
-	cutSeq  int       // monotone row counter driving the anti-degeneracy RHS perturbation
-	times   []float64 // per-link slice times priced into the current master
+	seen    map[string]struct{} // packed link sets (packCut) of the master's cut rows
+	cutSeq  int                 // monotone row counter driving the anti-degeneracy RHS perturbation
+	times   []float64           // per-link slice times priced into the current master
 
-	// Cut pool: source-side node sets of every cut ever separated, deduped
-	// by partition signature.
-	pool     [][]bool
-	poolKeys map[string]bool
+	// Cut pool: source-side node sets of every cut ever separated, in
+	// separation order, each stored once as its packed signature (packSide).
+	pool     []string
+	poolKeys map[string]struct{}
+
+	// sep is the separation state reused by every round of every Resolve.
+	sep *separator
 
 	journalLen int
 	started    bool
@@ -103,7 +106,7 @@ type master interface {
 // NewSession returns a session over the platform. Nothing is solved until
 // Resolve is called; the platform may already carry mutations.
 func NewSession(p *platform.Platform, source int, opts *Options) *Session {
-	return &Session{p: p, source: source, opts: opts, poolKeys: make(map[string]bool)}
+	return &Session{p: p, source: source, opts: opts, poolKeys: make(map[string]struct{})}
 }
 
 // Stats returns the cumulative session counters.
@@ -140,6 +143,7 @@ func (s *Session) ResolveContext(ctx context.Context) (*Solution, error) {
 		return &Solution{Throughput: math.Inf(1), UpperBound: math.Inf(1), EdgeRate: make([]float64, p.NumLinks())}, nil
 	}
 
+	s.refreshSeparator()
 	warm := s.started && s.inc != nil && !s.opts.coldStart()
 	for _, d := range deltas {
 		if !d.Tightening() {
@@ -208,7 +212,7 @@ func (s *Session) rebuild(ctx context.Context) (*Solution, error) {
 	tpVar := e
 	s.problem = lp.NewProblem(e + 1)
 	s.problem.SetObjectiveCoeff(tpVar, 1)
-	s.seen = make(map[string]bool)
+	s.seen = make(map[string]struct{})
 	// The RHS perturbation restarts with the fresh master so that its total
 	// magnitude stays proportional to the rows actually present, not to the
 	// session's lifetime.
@@ -227,23 +231,28 @@ func (s *Session) rebuild(ctx context.Context) (*Solution, error) {
 	// every alive destination; they bound TP so the first master is not
 	// unbounded. Their partitions enter the pool like separated cuts.
 	n := p.NumNodes()
-	srcSide := make([]bool, n)
-	srcSide[s.source] = true
-	s.addCut(s.crossingLiveLinks(srcSide), srcSide)
+	side := s.sep.side
+	for u := range side {
+		side[u] = false
+	}
+	side[s.source] = true
+	s.addCut(s.crossingLiveLinks(side), side)
+	for u := range side {
+		side[u] = true
+	}
 	for w := 0; w < n; w++ {
 		if w == s.source || !p.NodeAlive(w) {
 			continue
 		}
-		side := make([]bool, n)
-		for u := 0; u < n; u++ {
-			side[u] = u != w
-		}
+		side[w] = false
 		s.addCut(s.crossingLiveLinks(side), side)
+		side[w] = true
 	}
 
 	// Re-materialize the pooled partitions that still separate at least one
 	// alive destination from the source.
-	for _, side := range s.pool {
+	for _, packed := range s.pool {
+		unpackSide(packed, side)
 		valid := false
 		for w := 0; w < n; w++ {
 			if !side[w] && p.NodeAlive(w) {
@@ -288,17 +297,57 @@ func (s *Session) appendOccupationRows(u int) {
 	}
 }
 
-// crossingLiveLinks returns the live links crossing the partition from the
-// source side to the far side, in link-ID order.
-func (s *Session) crossingLiveLinks(side []bool) []int {
+// separator is the session-owned state of cut separation: the residual
+// network over the platform's links (edge IDs coincide with link IDs) and
+// the buffers one separation step reuses, so that a sweep over the
+// destinations allocates only for the cuts it actually adds.
+type separator struct {
+	nw       *maxflow.Network
+	from, to []int  // link endpoints (the link set of a platform is fixed)
+	live     []bool // link usable in the state being resolved
+	side     []bool // partition scratch: min-cut sides, initial and pooled cuts
+	links    []int  // crossingLiveLinks result
+	key      []byte // packCut / packSide scratch
+	terms    []lp.Term
+}
+
+// refreshSeparator builds the separator on first use and re-reads link
+// liveness, which only changes between Resolve calls.
+func (s *Session) refreshSeparator() {
 	p := s.p
-	var ids []int
-	for id := 0; id < p.NumLinks(); id++ {
-		l := p.Link(id)
-		if side[l.From] && !side[l.To] && p.LinkLive(id) {
+	n, e := p.NumNodes(), p.NumLinks()
+	if s.sep == nil {
+		sep := &separator{
+			nw:   maxflow.New(n),
+			from: make([]int, e),
+			to:   make([]int, e),
+			live: make([]bool, e),
+			side: make([]bool, n),
+		}
+		for id := 0; id < e; id++ {
+			l := p.Link(id)
+			sep.from[id], sep.to[id] = l.From, l.To
+			sep.nw.AddEdge(l.From, l.To, 0)
+		}
+		s.sep = sep
+	}
+	for id := range s.sep.live {
+		s.sep.live[id] = p.LinkLive(id)
+	}
+}
+
+// crossingLiveLinks returns the live links crossing the partition from the
+// source side to the far side, in link-ID order. The slice is scratch: it is
+// overwritten by the next call.
+func (s *Session) crossingLiveLinks(side []bool) []int {
+	sep := s.sep
+	ids := sep.links[:0]
+	for id, live := range sep.live {
+		if live && side[sep.from[id]] && !side[sep.to[id]] {
 			ids = append(ids, id)
 		}
 	}
+	sep.links = ids
 	return ids
 }
 
@@ -310,53 +359,76 @@ func (s *Session) crossingLiveLinks(side []bool) []int {
 const cutPerturbation = 1e-9
 
 // appendCutRow appends the master row TP - Σ_{e in cut} n_e <= ε for the
-// given live edge set, unless an identical row is already present. It
-// reports whether a row was added.
+// given live edge set (link IDs ascending), unless an identical row is
+// already present. It reports whether a row was added.
 func (s *Session) appendCutRow(cutLinks []int) bool {
 	if len(cutLinks) == 0 {
 		return false
 	}
-	key := cutKey(cutLinks)
-	if s.seen[key] {
+	sep := s.sep
+	sep.key = packCut(sep.key[:0], cutLinks)
+	if _, dup := s.seen[string(sep.key)]; dup {
 		return false
 	}
-	s.seen[key] = true
+	s.seen[string(sep.key)] = struct{}{}
 	s.cutSeq++
 	tpVar := s.p.NumLinks()
-	terms := make([]lp.Term, 0, len(cutLinks)+1)
-	terms = append(terms, lp.Term{Var: tpVar, Coeff: 1})
+	terms := append(sep.terms[:0], lp.Term{Var: tpVar, Coeff: 1})
 	for _, id := range cutLinks {
 		terms = append(terms, lp.Term{Var: id, Coeff: -1})
 	}
+	sep.terms = terms
 	s.problem.AddSparseConstraint(terms, lp.LE, cutPerturbation*float64(s.cutSeq))
 	return true
 }
 
 // addCut appends a cut row for the live edge set and records its partition
 // in the pool for future rebuilds. It reports whether a new row was added.
+// Neither argument is retained.
 func (s *Session) addCut(cutLinks []int, side []bool) bool {
-	if side != nil {
-		key := sideKey(side)
-		if !s.poolKeys[key] {
-			s.poolKeys[key] = true
-			s.pool = append(s.pool, append([]bool(nil), side...))
-		}
+	sep := s.sep
+	sep.key = packSide(sep.key[:0], side)
+	if _, pooled := s.poolKeys[string(sep.key)]; !pooled {
+		packed := string(sep.key)
+		s.poolKeys[packed] = struct{}{}
+		s.pool = append(s.pool, packed)
 	}
 	return s.appendCutRow(cutLinks)
 }
 
-// sideKey builds the canonical signature of a partition.
-func sideKey(side []bool) string {
-	var b strings.Builder
-	b.Grow(len(side))
-	for _, v := range side {
-		if v {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
+// packCut appends the canonical signature of a cut — its link IDs, which the
+// callers produce in ascending order — as the first ID followed by the gaps,
+// each a uvarint. The encoding is injective on ID sequences, so two cuts
+// share a signature exactly when they are the same link set.
+func packCut(buf []byte, links []int) []byte {
+	prev := 0
+	for _, id := range links {
+		buf = binary.AppendUvarint(buf, uint64(id-prev))
+		prev = id
 	}
-	return b.String()
+	return buf
+}
+
+// packSide appends the canonical signature of a partition: one bit per
+// node, set on the source side.
+func packSide(buf []byte, side []bool) []byte {
+	for i := 0; i < len(side); i += 8 {
+		var b byte
+		for j, in := range side[i:min(i+8, len(side))] {
+			if in {
+				b |= 1 << j
+			}
+		}
+		buf = append(buf, b)
+	}
+	return buf
+}
+
+// unpackSide expands a packSide signature into side.
+func unpackSide(packed string, side []bool) {
+	for u := range side {
+		side[u] = packed[u>>3]>>(u&7)&1 != 0
+	}
 }
 
 // runLoop runs the cutting-plane loop on the session's current master: solve
@@ -369,14 +441,8 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 	n, e := p.NumNodes(), p.NumLinks()
 	tpVar := e
 	lpOpts := opts.lpOptions()
-
-	// Separation network: edge IDs coincide with link IDs; dead links keep
-	// zero capacity.
-	nw := maxflow.New(n)
-	for id := 0; id < e; id++ {
-		l := p.Link(id)
-		nw.AddEdge(l.From, l.To, 0)
-	}
+	sep := s.sep
+	nw := sep.nw
 
 	sol := &Solution{EdgeRate: make([]float64, e)}
 	tol := opts.tolerance()
@@ -461,25 +527,29 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 		sol.LPIterations += lpSol.Iterations
 		tp := lpSol.X[tpVar]
 		copy(sol.EdgeRate, lpSol.X[:e])
-		for id := 0; id < e; id++ {
-			if !p.LinkLive(id) {
+		for id, live := range sep.live {
+			if !live {
 				sol.EdgeRate[id] = 0
 			}
 		}
 		sol.Throughput = tp
 		sol.UpperBound = tp
 
-		// Separate violated cuts with one max-flow per alive destination.
-		// The smallest destination max-flow is the throughput the current
-		// edge rates actually support, i.e. a feasible lower bound on the
-		// optimum, while the master value tp is an upper bound.
+		// Separate violated cuts with one max-flow per alive destination;
+		// dead links carry nothing. Each flow is only ever compared with the
+		// violation threshold, so it is bounded by it: a destination that is
+		// not violated (most of them) stops the moment its flow gets there
+		// and reports exactly the threshold, while a flow below the
+		// threshold is the true maximum and leaves its minimum cuts in the
+		// residual network. The smallest destination max-flow is the
+		// throughput the current edge rates actually support, i.e. a
+		// feasible lower bound on the optimum, while the master value tp is
+		// an upper bound; it is read (by the gap exit) only when some
+		// destination is violated, and then it is one of the exact flows.
+		sepStart := time.Now()
 		violated := 0
-		for id := 0; id < e; id++ {
-			if p.LinkLive(id) {
-				nw.SetCapacity(id, lpSol.X[id])
-			} else {
-				nw.SetCapacity(id, 0)
-			}
+		for id := range sep.live {
+			nw.SetCapacity(id, sol.EdgeRate[id])
 		}
 		threshold := tp - tol*math.Max(1, tp)
 		supported := math.Inf(1)
@@ -488,7 +558,8 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 				continue
 			}
 			nw.Reset()
-			flow := nw.MaxFlow(source, w)
+			flow := nw.MaxFlowBounded(source, w, threshold)
+			sol.MaxFlows++
 			if flow < supported {
 				supported = flow
 			}
@@ -499,16 +570,17 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 			// they are usually different, and generating two constraints per
 			// violated destination roughly halves the number of master
 			// re-solves on hierarchical platforms.
-			srcSide := nw.MinCutSourceSide(source)
-			if s.addCut(s.crossingLiveLinks(srcSide), srcSide) {
+			side := nw.MinCutSourceSideInto(source, sep.side)
+			if s.addCut(s.crossingLiveLinks(side), side) {
 				violated++
 			}
-			sinkSide := nw.MinCutSinkSide(w)
-			if s.addCut(s.crossingLiveLinks(sinkSide), sinkSide) {
+			side = nw.MinCutSinkSideInto(w, sep.side)
+			if s.addCut(s.crossingLiveLinks(side), side) {
 				violated++
 			}
 		}
 		sol.Cuts = len(s.seen)
+		sol.SepWallNanos += time.Since(sepStart).Nanoseconds()
 		if violated == 0 {
 			if lpSol.Status != lp.Optimal {
 				// No cut separates the current point, but the master stopped

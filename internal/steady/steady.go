@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/lp"
+	"repro/internal/maxflow"
 	"repro/internal/platform"
 )
 
@@ -47,6 +46,15 @@ type Solution struct {
 	// and revised masters on LP cost alone) and is never marshaled into the
 	// deterministic reports.
 	LPWallNanos int64
+	// SepWallNanos is the wall-clock time spent separating cuts during this
+	// resolve — loading the round's edge rates into the separation network,
+	// the per-destination max-flows, min-cut extraction and cut bookkeeping —
+	// and MaxFlows the number of max-flows that took. LPWallNanos and
+	// SepWallNanos together account for nearly all of a resolve. The count
+	// is deterministic; the wall, like LPWallNanos, is never marshaled into
+	// the deterministic reports.
+	SepWallNanos int64
+	MaxFlows     int
 	// Packing, when non-nil, is the weighted spanning-tree decomposition of
 	// EdgeRate: the primal witness that Throughput is achieved by an actual
 	// convex combination of broadcast trees. The solver itself leaves it
@@ -146,24 +154,17 @@ func Solve(p *platform.Platform, source int, opts *Options) (*Solution, error) {
 	return NewSession(p, source, opts).Resolve()
 }
 
-// cutKey builds a canonical signature of a cut (sorted link IDs).
-func cutKey(links []int) string {
-	ids := append([]int(nil), links...)
-	sort.Ints(ids)
-	var b strings.Builder
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", id)
-	}
-	return b.String()
-}
-
 // SolveDirect encodes LP (2) of the paper directly: per-destination flow
 // variables x^w_e, edge rates n_e and the throughput TP. It is exponential
 // in neither |V| nor |E| but its dense tableau grows as (|V|·|E|)², so it is
 // intended for small platforms (tests and examples).
+//
+// The point the dense simplex returns is certified before it is reported
+// (see certifyDirect): the flow-conservation rows all share a zero right-hand
+// side, and on such massively degenerate tableaux the dense ratio test can
+// pivot on round-off and end "optimal" on a point that violates its own
+// constraints. A point that fails certification is ErrLPFailed, never a
+// throughput.
 func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, error) {
 	if err := p.Validate(source); err != nil {
 		return nil, err
@@ -263,5 +264,48 @@ func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, er
 	for id := 0; id < e; id++ {
 		sol.EdgeRate[id] = lpSol.X[nVar(id)]
 	}
+	if err := certifyDirect(p, source, sol); err != nil {
+		return nil, fmt.Errorf("%w: dense simplex returned an infeasible point as optimal: %v", ErrLPFailed, err)
+	}
 	return sol, nil
+}
+
+// certifyDirect checks a SolveDirect point against the model rather than
+// against the tableau that produced it: the edge rates must carry the
+// reported throughput to every destination (a max-flow per destination,
+// bounded by the value it has to reach) and keep every one-port occupation
+// within 1, both to 1e-6 relative.
+func certifyDirect(p *platform.Platform, source int, sol *Solution) error {
+	const tol = 1e-6
+	n := p.NumNodes()
+	nw := maxflow.New(n)
+	for id, rate := range sol.EdgeRate {
+		if rate < -tol {
+			return fmt.Errorf("negative rate %v on link %d", rate, id)
+		}
+		l := p.Link(id)
+		nw.AddEdge(l.From, l.To, rate)
+	}
+	need := sol.Throughput * (1 - tol)
+	for w := 0; w < n; w++ {
+		if w == source {
+			continue
+		}
+		nw.Reset()
+		if flow := nw.MaxFlowBounded(source, w, need); flow < need {
+			return fmt.Errorf("edge rates carry %v to node %d, reported throughput %v", flow, w, sol.Throughput)
+		}
+	}
+	for u := 0; u < n; u++ {
+		for _, ids := range [][]int{p.InLinkIDs(u), p.OutLinkIDs(u)} {
+			var busy float64
+			for _, id := range ids {
+				busy += sol.EdgeRate[id] * p.SliceTime(id)
+			}
+			if busy > 1+tol {
+				return fmt.Errorf("one-port occupation %v at node %d", busy, u)
+			}
+		}
+	}
+	return nil
 }

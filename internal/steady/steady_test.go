@@ -423,10 +423,70 @@ func TestNoConvergenceWithTinyRoundLimit(t *testing.T) {
 }
 
 func TestCutKey(t *testing.T) {
-	if cutKey([]int{3, 1, 2}) != cutKey([]int{2, 3, 1}) {
-		t.Fatal("cut keys should be order independent")
+	key := func(links ...int) string { return string(packCut(nil, links)) }
+	if key(1, 2, 300) != key(1, 2, 300) {
+		t.Fatal("the same cut should have the same key")
 	}
-	if cutKey([]int{1, 2}) == cutKey([]int{1, 3}) {
-		t.Fatal("different cuts should have different keys")
+	// Distinct link sets, including ones whose encodings could collide if
+	// the signature were not self-delimiting.
+	cuts := [][]int{{1, 2}, {1, 3}, {1, 2, 3}, {3}, {0, 3}, {128}, {0, 128}, {1, 127}, {300}, {44, 256}}
+	seen := map[string][]int{}
+	for _, c := range cuts {
+		k := key(c...)
+		if other, dup := seen[k]; dup {
+			t.Fatalf("cuts %v and %v share a key", c, other)
+		}
+		seen[k] = c
+	}
+}
+
+func TestPackSideRoundTrip(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 16, 21} {
+		side := make([]bool, n)
+		for u := range side {
+			side[u] = u%3 == 0 || u == n-1
+		}
+		packed := packSide(nil, side)
+		if len(packed) != (n+7)/8 {
+			t.Fatalf("n=%d: %d bytes, want %d", n, len(packed), (n+7)/8)
+		}
+		got := make([]bool, n)
+		for u := range got {
+			got[u] = !side[u] // stale content unpackSide must overwrite
+		}
+		unpackSide(string(packed), got)
+		for u := range side {
+			if got[u] != side[u] {
+				t.Fatalf("n=%d: node %d unpacked as %v", n, u, got[u])
+			}
+		}
+	}
+}
+
+// TestCertifyDirect feeds the SolveDirect certificate hand-made points on a
+// two-leaf star (slice times 1 and 2, optimum 1/3 with rates 1/3 each): the
+// optimum passes; an overstated throughput, an over-occupied port and a
+// negative rate — the three ways the dense simplex has been seen to go
+// wrong — are each rejected.
+func TestCertifyDirect(t *testing.T) {
+	p := starPlatform([]float64{1, 2})
+	third := 1.0 / 3
+	// Links: 0->1, 1->0, 0->2, 2->0.
+	for _, tc := range []struct {
+		name       string
+		throughput float64
+		rates      []float64
+		ok         bool
+	}{
+		{"optimum", third, []float64{third, 0, third, 0}, true},
+		{"within tolerance", third * (1 + 5e-7), []float64{third, 0, third, 0}, true},
+		{"throughput the rates do not carry", 0.4, []float64{third, 0, third, 0}, false},
+		{"one-port occupation above 1", 0.4, []float64{0.4, 0, 0.4, 0}, false},
+		{"negative rate", third, []float64{third, -3, third, 0}, false},
+	} {
+		err := certifyDirect(p, 0, &Solution{Throughput: tc.throughput, EdgeRate: tc.rates})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: certifyDirect = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
