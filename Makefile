@@ -39,9 +39,11 @@ bench-lp:
 
 # bench-smoke mirrors the CI test job's benchmark step: bench/ is its own
 # module, so the root `go test ./...` does not compile its adapter; this
-# does, then runs one smoke-scale workload through the real entry point.
+# does, then runs two smoke-scale workloads through the real entry point —
+# one that never packs, one that packs every plan.
 bench-smoke:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload cold-sep --scale smoke
+	bash bench/run.sh --workload pack-ktree --scale smoke
 
 check: build test lint

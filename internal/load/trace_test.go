@@ -41,10 +41,11 @@ func replayTraced(t *testing.T, mixName string, seed int64, workers int) (*Sched
 // overload mix (sheds, degraded answers, background refines).
 func TestReplayTraceDeterminismAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
-		mix  string
-		seed int64
+		mix   string
+		seed  int64
+		packs bool // the mix has a phase asking for k-tree plans
 	}{
-		{mix: "smoke", seed: 7},
+		{mix: "smoke", seed: 7, packs: true},
 		{mix: "overload", seed: 42},
 	} {
 		t.Run(tc.mix, func(t *testing.T) {
@@ -57,6 +58,11 @@ func TestReplayTraceDeterminismAcrossWorkers(t *testing.T) {
 					// of the solve span, the separation wall is not.
 					if !bytes.Contains(dump, []byte(`"flows"`)) || bytes.Contains(dump, []byte(`"sepNs"`)) {
 						t.Fatalf("dump should carry solve-span flow counts and no separation wall:\n%s", dump)
+					}
+					// Likewise the packing: rounds and pivots are counts, its
+					// wall is a wall.
+					if bytes.Contains(dump, []byte(`"packRounds"`)) != tc.packs || bytes.Contains(dump, []byte(`"packNs"`)) {
+						t.Fatalf("dump should carry packing rounds exactly when the mix packs (%v), and no packing wall:\n%s", tc.packs, dump)
 					}
 					continue
 				}
@@ -95,7 +101,7 @@ func TestReplayTraceContents(t *testing.T) {
 			t.Fatalf("trace %s has no events", tr.ID)
 		}
 		for _, ev := range tr.Events {
-			if ev.TNs != 0 || ev.DurNs != 0 || ev.SepNs != 0 {
+			if ev.TNs != 0 || ev.DurNs != 0 || ev.SepNs != 0 || ev.PackNs != 0 {
 				t.Fatalf("deterministic trace %s event stamped with wall clock: %+v", tr.ID, ev)
 			}
 			if ev.Kind == obs.SpanSolve && ev.Err == "" && ev.Flows <= 0 {

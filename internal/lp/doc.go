@@ -35,6 +35,15 @@
 //     steady state; numerical trouble falls back to the dense solvers (see
 //     NewRevised and FactorStats).
 //
+// Duals: a cold Optimal solve reports them in Solution.Dual. A warm re-solve
+// does not compute them — the cutting-plane loop never reads them — and
+// Revised.Duals derives them from the basis the solve left behind when a
+// caller asks: every stored row is a signed copy of one constraint (appended
+// GE rows are negated, EQ rows split into a signed pair), so a constraint's
+// dual is the signed sum of its rows' simplex multipliers. That is what lets
+// package pack hold its column-generation master as the dual LP on one
+// handle, a new column being one appended row.
+//
 // All solvers support cooperative cancellation through SolveContext; a
 // canceled solve reports ErrCanceled and never leaves a reusable warm
 // basis behind.

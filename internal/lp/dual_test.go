@@ -2,6 +2,8 @@ package lp
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -118,5 +120,172 @@ func TestDualsAbsentOffOptimal(t *testing.T) {
 	}
 	if sol.Dual != nil {
 		t.Fatalf("unbounded solve reported duals %v", sol.Dual)
+	}
+}
+
+// warmDualCase is a random bounded LP grown in batches around a strictly
+// positive point x0 that every row keeps feasible: box rows first (the cold
+// solve), then batches of LE, GE and EQ rows with mixed-sign coefficients,
+// whose right-hand sides — a·x0 plus, minus or without slack — come out
+// negative about as often as positive.
+type warmDualCase struct {
+	obj     []float64
+	x0      []float64
+	rows    [][]float64
+	rels    []Relation
+	rhs     []float64
+	batches [][2]int // row ranges [from, to) appended before each solve
+}
+
+func newWarmDualCase(rng *rand.Rand, nVars, nBatches int) *warmDualCase {
+	c := &warmDualCase{obj: make([]float64, nVars), x0: make([]float64, nVars)}
+	for j := range c.obj {
+		c.obj[j] = rng.Float64()*4 - 1
+		c.x0[j] = 0.5 + rng.Float64()*2
+	}
+	add := func(row []float64, rel Relation, slack float64) {
+		var ax float64
+		for j, v := range row {
+			ax += v * c.x0[j]
+		}
+		switch rel {
+		case LE:
+			ax += slack
+		case GE:
+			ax -= slack
+		}
+		c.rows, c.rels, c.rhs = append(c.rows, row), append(c.rels, rel), append(c.rhs, ax)
+	}
+	for j := 0; j < nVars; j++ {
+		row := make([]float64, nVars)
+		row[j] = 1
+		add(row, LE, 1+rng.Float64()*3)
+	}
+	c.batches = append(c.batches, [2]int{0, nVars})
+	for b := 0; b < nBatches; b++ {
+		from := len(c.rows)
+		for r := 1 + rng.Intn(4); r > 0; r-- {
+			row := make([]float64, nVars)
+			for j := range row {
+				if rng.Intn(3) > 0 {
+					row[j] = rng.Float64()*4 - 2
+				}
+			}
+			switch rng.Intn(5) {
+			case 0:
+				add(row, EQ, 0)
+			case 1, 2:
+				add(row, GE, rng.Float64()*2)
+			default:
+				add(row, LE, rng.Float64()*2)
+			}
+		}
+		c.batches = append(c.batches, [2]int{from, len(c.rows)})
+	}
+	return c
+}
+
+// TestRevisedWarmDuals is the property tier of Revised.Duals: after every
+// append batch — LE rows, GE rows (stored negated), EQ rows (stored as a
+// signed pair), negative right-hand sides among all three — the duals read
+// off the warm basis satisfy strong duality, dual feasibility, complementary
+// slackness and the sign each relation dictates, against the problem as
+// given, and the objective they certify is the one a cold dense solve of the
+// same problem finds. A twin handle that is never asked for duals must move
+// in lockstep: same pivots, same point, bit for bit.
+func TestRevisedWarmDuals(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	warmChecked, negRHS, byRel := 0, 0, map[Relation]int{}
+	for trial := 0; trial < 120; trial++ {
+		c := newWarmDualCase(rng, 2+rng.Intn(7), 1+rng.Intn(6))
+		asked, silent := NewProblem(len(c.obj)), NewProblem(len(c.obj))
+		asked.SetObjective(c.obj)
+		silent.SetObjective(c.obj)
+		rvAsked, rvSilent := NewRevised(asked, nil), NewRevised(silent, nil)
+		for bi, batch := range c.batches {
+			for i := batch[0]; i < batch[1]; i++ {
+				rvAsked.AddConstraint(c.rows[i], c.rels[i], c.rhs[i])
+				rvSilent.AddConstraint(c.rows[i], c.rels[i], c.rhs[i])
+			}
+			sol, err := rvAsked.Solve()
+			if err != nil {
+				t.Fatalf("trial %d batch %d: %v", trial, bi, err)
+			}
+			twin, err := rvSilent.Solve()
+			if err != nil {
+				t.Fatalf("trial %d batch %d (twin): %v", trial, bi, err)
+			}
+			if twin.Iterations != sol.Iterations || rvSilent.LastWarm() != rvAsked.LastWarm() || !reflect.DeepEqual(twin.X, sol.X) {
+				t.Fatalf("trial %d batch %d: reading duals moved the next solve: %d pivots (warm=%v) x=%v, twin %d pivots (warm=%v) x=%v",
+					trial, bi, sol.Iterations, rvAsked.LastWarm(), sol.X, twin.Iterations, rvSilent.LastWarm(), twin.X)
+			}
+			if sol.Status != Optimal {
+				t.Fatalf("trial %d batch %d: status %v on a problem feasible at x0 inside a box", trial, bi, sol.Status)
+			}
+			n := batch[1]
+			duals := rvAsked.Duals()
+			if len(duals) != n {
+				t.Fatalf("trial %d batch %d: %d duals for %d constraints", trial, bi, len(duals), n)
+			}
+			if again := rvAsked.Duals(); &again[0] != &duals[0] {
+				t.Fatalf("trial %d batch %d: a second Duals call recomputed", trial, bi)
+			}
+			withDuals := *sol
+			withDuals.Dual = duals
+			checkDuals(t, &withDuals, c.obj, c.rows[:n], c.rels[:n], c.rhs[:n])
+			for i, y := range duals {
+				if c.rels[i] == LE && y < -1e-7 || c.rels[i] == GE && y > 1e-7 {
+					t.Errorf("trial %d batch %d: row %d (%v) has dual %v of the wrong sign", trial, bi, i, c.rels[i], y)
+				}
+			}
+			cold := NewProblem(len(c.obj))
+			cold.SetObjective(c.obj)
+			for i := 0; i < n; i++ {
+				cold.AddConstraint(c.rows[i], c.rels[i], c.rhs[i])
+			}
+			ref := solveOK(t, cold)
+			if ref.Status != Optimal || math.Abs(ref.Objective-sol.Objective) > 1e-7*(1+math.Abs(ref.Objective)) {
+				t.Fatalf("trial %d batch %d: warm objective %v, cold dense %v (%v)", trial, bi, sol.Objective, ref.Objective, ref.Status)
+			}
+			if rvAsked.LastWarm() {
+				warmChecked++
+				for i := batch[0]; i < batch[1]; i++ {
+					byRel[c.rels[i]]++
+					if c.rhs[i] < 0 {
+						negRHS++
+					}
+				}
+			} else if sol.Dual == nil || &sol.Dual[0] != &duals[0] {
+				t.Fatalf("trial %d batch %d: Duals after a cold solve is not Solution.Dual", trial, bi)
+			}
+		}
+	}
+	// The property is vacuous unless warm re-solves with every row kind were
+	// among the checked ones.
+	if warmChecked < 200 || byRel[LE] < 100 || byRel[GE] < 100 || byRel[EQ] < 50 || negRHS < 100 {
+		t.Fatalf("coverage too thin: %d warm solves, rows %v, %d with negative rhs", warmChecked, byRel, negRHS)
+	}
+}
+
+// TestRevisedDualsAbsentOffOptimal a handle whose last solve did not end
+// Optimal has no duals to give, whatever an earlier solve left behind.
+func TestRevisedDualsAbsentOffOptimal(t *testing.T) {
+	p := NewProblem(1)
+	p.SetObjective([]float64{1})
+	rv := NewRevised(p, nil)
+	if rv.Duals() != nil {
+		t.Fatal("unsolved handle reported duals")
+	}
+	rv.AddConstraint([]float64{1}, LE, 2)
+	if sol, err := rv.Solve(); err != nil || sol.Status != Optimal || len(rv.Duals()) != 1 {
+		t.Fatalf("bounded solve: %+v, %v, duals %v", sol, err, rv.Duals())
+	}
+	rv.AddConstraint([]float64{1}, GE, 3)
+	sol, err := rv.Solve()
+	if err != nil || sol.Status != Infeasible {
+		t.Fatalf("x <= 2 with x >= 3: %+v, %v, want infeasible", sol, err)
+	}
+	if d := rv.Duals(); d != nil {
+		t.Fatalf("infeasible solve reported duals %v", d)
 	}
 }

@@ -421,9 +421,10 @@ type factorState struct {
 // ensure sizes the per-row/per-position slabs for m rows.
 func (fs *factorState) ensure(m int) {
 	if cap(fs.rowCore) < m {
-		fs.rowCore = make([]int32, m)
-		fs.singRow = make([]int32, m)
-		fs.singInv = make([]float64, m)
+		// Headroom for the same reason as grow.
+		fs.rowCore = make([]int32, m, m+m/2)
+		fs.singRow = make([]int32, m, m+m/2)
+		fs.singInv = make([]float64, m, m+m/2)
 	}
 	fs.rowCore = fs.rowCore[:m]
 	fs.singRow = fs.singRow[:m]

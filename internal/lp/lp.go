@@ -166,11 +166,13 @@ type Solution struct {
 	Feasible bool
 	// Dual holds the optimal dual values (shadow prices) of the constraints,
 	// one per AddConstraint/AddSparseConstraint call in order, with respect to
-	// each constraint as given. It is populated only on a fresh Solve that
-	// reached Optimal (warm incremental re-solves rewrite rows and do not
-	// report duals) and is nil otherwise. For a maximization problem the dual
-	// of a binding LE row is >= 0: the objective gain per unit of slack added
-	// to that row's right-hand side.
+	// each constraint as given. Cold solves that reached Optimal fill it —
+	// Solve, and the first or a fallback solve of a handle; it is nil on any
+	// other status and on warm re-solves, which leave the duals to be asked
+	// for: Revised.Duals computes them from the warm basis on request
+	// (Incremental rewrites rows and cannot). For a maximization problem the
+	// dual of a binding LE row is >= 0 — the objective gain per unit of slack
+	// added to that row's right-hand side — and that of a binding GE row <= 0.
 	Dual []float64
 }
 

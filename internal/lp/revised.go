@@ -50,7 +50,8 @@ type Revised struct {
 	nStruct int // structural columns (decision variables)
 	cols    []revCol
 	rhs     []float64
-	rowSign []float64
+	rowSign []float64 // ±1: the row as stored is rowSign times the constraint as given
+	rowCons []int32   // matrix row -> index of the problem constraint it came from
 	logRow  []int32
 	logSign []float64
 	logArt  []bool
@@ -82,7 +83,8 @@ type Revised struct {
 
 	built    bool // factorized state matches the problem and may warm-start
 	status   Status
-	synced   int // prefix of p.constraints reflected in the matrix
+	synced   int       // prefix of p.constraints reflected in the matrix
+	dual     []float64 // duals of the last Optimal solve, nil until known (see Duals)
 	objSnap  []float64
 	lastWarm bool
 	failures int
@@ -179,6 +181,7 @@ func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 	if rv.p == nil || rv.p.numVars == 0 {
 		return nil, ErrBadProblem
 	}
+	rv.dual = nil
 	var warmSpent int
 	if rv.built && rv.status == Optimal && !rv.noWarm {
 		sol := rv.warmSolve(ctx)
@@ -221,6 +224,7 @@ func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 	rv.stats.ColdSolves++
 	rv.stats.ColdPivots += sol.Iterations
 	rv.lastWarm = false
+	rv.dual = sol.Dual
 	sol.Iterations += warmSpent
 	return sol, nil
 }
@@ -284,6 +288,7 @@ func (rv *Revised) build() {
 	rv.m = m
 	rv.rhs = append(rv.rhs[:0], make([]float64, m)...)
 	rv.rowSign = append(rv.rowSign[:0], make([]float64, m)...)
+	rv.rowCons = append(rv.rowCons[:0], make([]int32, m)...)
 	rv.logRow = rv.logRow[:0]
 	rv.logSign = rv.logSign[:0]
 	rv.logArt = rv.logArt[:0]
@@ -297,6 +302,7 @@ func (rv *Revised) build() {
 			rel = flip(rel)
 		}
 		rv.rowSign[i] = sign
+		rv.rowCons[i] = int32(i)
 		rv.rhs[i] = b
 		for j, v := range c.coeffs {
 			if v != 0 {
@@ -318,10 +324,11 @@ func (rv *Revised) build() {
 	rv.finishBasis()
 }
 
-// appendRow extends the matrix with one LE row (negated when negate is set),
-// its slack basic in the new position. The basic value is recomputed by the
-// refactorization that must follow an append batch.
-func (rv *Revised) appendRow(coeffs []float64, b float64, negate bool) {
+// appendRow extends the matrix with one LE row of problem constraint cons
+// (negated when negate is set), its slack basic in the new position. The
+// basic value is recomputed by the refactorization that must follow an append
+// batch.
+func (rv *Revised) appendRow(cons int, coeffs []float64, b float64, negate bool) {
 	i := rv.m
 	rv.m++
 	sign := 1.0
@@ -329,7 +336,8 @@ func (rv *Revised) appendRow(coeffs []float64, b float64, negate bool) {
 		sign = -1
 	}
 	rv.rhs = append(rv.rhs, sign*b)
-	rv.rowSign = append(rv.rowSign, 1)
+	rv.rowSign = append(rv.rowSign, sign)
+	rv.rowCons = append(rv.rowCons, int32(cons))
 	for j, v := range coeffs {
 		if v != 0 {
 			rv.cols[j].add(i, sign*v)
@@ -394,9 +402,12 @@ func (rv *Revised) objValue() float64 {
 
 // ---- factorization plumbing ----
 
+// grow returns s resized to n entries, contents unspecified. It allocates
+// with headroom: a handle whose matrix gains a row per solve would otherwise
+// reallocate every scratch vector on every solve.
 func grow(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]float64, n, n+n/2)
 	}
 	return s[:n]
 }
@@ -1067,17 +1078,34 @@ func (rv *Revised) extract(x []float64) {
 	}
 }
 
-// duals returns the simplex multipliers with respect to the constraints as
-// given (valid only on a cold-built optimal basis, where the normalized rows
-// are in one-to-one signed correspondence with the problem's constraints).
+// duals returns the simplex multipliers of the optimal basis with respect to
+// the constraints as given: every stored row is a signed copy of one
+// constraint (cold builds flip negative right-hand sides, warm appends negate
+// GE rows and split EQ rows into a signed pair), so a constraint's dual is the
+// signed sum over its rows.
 func (rv *Revised) duals() []float64 {
 	y := rv.yScratch[:rv.m]
 	rv.btran(rv.cB[:rv.m], y)
-	out := make([]float64, rv.m)
+	out := make([]float64, rv.synced)
 	for i := 0; i < rv.m; i++ {
-		out[i] = y[i] * rv.rowSign[i]
+		out[rv.rowCons[i]] += y[i] * rv.rowSign[i]
 	}
 	return out
+}
+
+// Duals returns the dual values of the most recent Optimal solve, one per
+// constraint in the order they were added, under Solution.Dual's sign
+// convention; nil when that solve did not end Optimal. A cold solve has them
+// already (Solution.Dual); after a warm re-solve they are computed here, on
+// first request, from the basis the solve left behind — one BTRAN through
+// scratch the solver does not carry across solves, so asking changes nothing
+// about the next warm start and not asking costs nothing. The slice is shared
+// with the handle and with Solution.Dual: read it, do not write it.
+func (rv *Revised) Duals() []float64 {
+	if rv.dual == nil && rv.built && rv.status == Optimal {
+		rv.dual = rv.duals()
+	}
+	return rv.dual
 }
 
 // coldSolve runs the two-phase revised simplex from the slack/artificial
@@ -1180,17 +1208,18 @@ func (rv *Revised) warmSolve(ctx context.Context) *Solution {
 	sol := &Solution{X: make([]float64, rv.p.numVars), Phase: 2}
 	objChanged := !rv.objectiveUnchanged()
 	appended := 0
-	for _, c := range rv.p.constraints[rv.synced:] {
+	for k, c := range rv.p.constraints[rv.synced:] {
+		cons := rv.synced + k
 		switch c.rel {
 		case LE:
-			rv.appendRow(c.coeffs, c.rhs, false)
+			rv.appendRow(cons, c.coeffs, c.rhs, false)
 			appended++
 		case GE:
-			rv.appendRow(c.coeffs, c.rhs, true)
+			rv.appendRow(cons, c.coeffs, c.rhs, true)
 			appended++
 		case EQ:
-			rv.appendRow(c.coeffs, c.rhs, false)
-			rv.appendRow(c.coeffs, c.rhs, true)
+			rv.appendRow(cons, c.coeffs, c.rhs, false)
+			rv.appendRow(cons, c.coeffs, c.rhs, true)
 			appended += 2
 		}
 	}

@@ -91,6 +91,13 @@ type Event struct {
 	// WallClock traces.
 	Flows int   `json:"flows,omitempty"`
 	SepNs int64 `json:"sepNs,omitempty"`
+	// Solve, when the plan asked for trees: the restricted-master solves and
+	// simplex pivots of the tree packing that followed the resolve, and the
+	// packing's wall-clock time — beside DurNs, which times the resolve
+	// alone, not inside it, and like it set only on WallClock traces.
+	PackRounds int   `json:"packRounds,omitempty"`
+	PackPivots int   `json:"packPivots,omitempty"`
+	PackNs     int64 `json:"packNs,omitempty"`
 	// Degraded: the heuristic that produced the immediate answer.
 	Heuristic string `json:"heuristic,omitempty"`
 	// Cancel: where the request was abandoned.

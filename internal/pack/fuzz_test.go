@@ -3,14 +3,48 @@ package pack_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/pack"
 	"repro/internal/platform"
+	"repro/internal/scenarios"
 	"repro/internal/steady"
 )
+
+// cellPrefix switches fuzzPlatform from its byte-built ring to a platform of
+// the repo benchmark: the three bytes after it pick the registry family, the
+// size (clamped to the family's minimum and 64) and the benchmark instance.
+// It is how a registry-scale failure becomes a corpus entry.
+const cellPrefix = "cell:"
+
+// fuzzCell decodes the bytes after cellPrefix.
+func fuzzCell(data []byte) benchCell {
+	var b [3]byte
+	copy(b[:], data)
+	all := scenarios.All()
+	s := all[int(b[0])%len(all)]
+	size := int(b[1])
+	if size < s.MinSize {
+		size = s.MinSize
+	}
+	if size > 64 {
+		size = 64
+	}
+	return benchCell{family: s.Name, size: size, inst: int(b[2])}
+}
+
+// cellSeed is the corpus entry of a benchmark cell.
+func cellSeed(c benchCell) []byte {
+	for i, s := range scenarios.All() {
+		if s.Name == c.family {
+			return append([]byte(cellPrefix), byte(i), byte(c.size), byte(c.inst))
+		}
+	}
+	panic(fmt.Sprintf("no registry family %q", c.family))
+}
 
 // fuzzPlatform derives a small deterministic platform from the input bytes:
 // a bidirectional ring (always broadcastable from any node) plus a few
@@ -61,13 +95,23 @@ func FuzzTreePacking(f *testing.F) {
 	f.Add([]byte{3, 10, 20, 30, 40, 2, 1, 3, 9, 200, 100, 50})
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0, 4, 1, 2, 64, 128, 2, 3, 16, 32})
 	f.Add([]byte{1, 255, 254, 253, 252, 251, 250, 3, 0, 2, 8, 8, 1, 3, 99, 7})
+	// ErrNotPacked until the column-generation round cap went: still climbing
+	// at round 508, at the LP throughput by round 557.
+	f.Add(cellSeed(formerKnownFailure))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, source := fuzzPlatform(data)
-		sol, err := steady.Solve(p, source, nil)
-		if err != nil {
+		var p *platform.Platform
+		var source int
+		var sol *steady.Solution
+		if rest, ok := bytes.CutPrefix(data, []byte(cellPrefix)); ok {
+			p, sol = fuzzCell(rest).solve(t)
+		} else {
+			p, source = fuzzPlatform(data)
+			var err error
 			// The ring keeps every platform broadcastable; a solver failure
 			// here is a finding, not an invalid input.
-			t.Fatalf("solve: %v", err)
+			if sol, err = steady.Solve(p, source, nil); err != nil {
+				t.Fatalf("solve: %v", err)
+			}
 		}
 		pk, err := pack.Decompose(p, source, sol, nil)
 		if err != nil {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
-	"repro/internal/lp"
 	"repro/internal/platform"
 	"repro/internal/steady"
 )
@@ -17,8 +17,10 @@ var (
 	// edge rates (e.g. the degenerate single-alive-node +Inf solution).
 	ErrNoSolution = errors.New("pack: solution has no finite edge rates to decompose")
 	// ErrNotPacked means the decomposition could not reach the LP throughput
-	// within tolerance — numerically degenerate rate graphs only; the
-	// returned packing (if any) is still capacity-feasible.
+	// within tolerance — numerically degenerate rate graphs only. The error
+	// names the exit that ended column generation (round ceiling, stalled
+	// master value, dual certificate, re-priced column, failed master solve);
+	// the returned packing (if any) is still capacity-feasible.
 	ErrNotPacked = errors.New("pack: packing fell short of the LP throughput")
 )
 
@@ -61,6 +63,17 @@ const supportEps = 1e-9
 // dual cost is below 1-priceEps (reduced cost meaningfully positive).
 const priceEps = 1e-9
 
+// maxRounds is the backstop on column-generation rounds: the stop rule is
+// progress (stallRounds), and a decomposition still gaining after this many
+// rounds is cut off all the same, by name, in the ErrNotPacked it returns.
+const maxRounds = 1 << 14
+
+// stallRounds is how many consecutive rounds the master value may fail to
+// rise before column generation gives up on a support of the given size. A
+// degenerate master sits on a plateau while the columns that will lift it
+// come in, one per round, so the window scales with the support.
+func stallRounds(support int) int { return 8*support + 64 }
+
 // Decompose peels a weighted spanning-tree packing out of the solution's
 // optimal edge rates n(u,v), rooted at source: a greedy max-bottleneck peel
 // seeds the trees, then restricted-master column generation (min-cost
@@ -72,6 +85,15 @@ const priceEps = 1e-9
 // Decompose is deterministic: the same (platform, source, solution, opts)
 // produce an identical packing on every run.
 func Decompose(p *platform.Platform, source int, sol *steady.Solution, opts *Options) (*steady.Packing, error) {
+	return decompose(p, source, sol, opts, nil)
+}
+
+// decompose is Decompose; observe, when set, sees the master after every
+// solve (the differential tests re-solve the same tree set on the dense
+// oracle there).
+func decompose(p *platform.Platform, source int, sol *steady.Solution, opts *Options, observe func(m *master, value float64)) (*steady.Packing, error) {
+	//lint:ignore detrand wall-time instrumentation (Packing.WallNanos); never marshaled
+	start := time.Now()
 	if sol == nil || math.IsInf(sol.Throughput, 0) || math.IsNaN(sol.Throughput) {
 		return nil, ErrNoSolution
 	}
@@ -105,15 +127,19 @@ func Decompose(p *platform.Platform, source int, sol *steady.Solution, opts *Opt
 			support = append(support, edge{from: l.From, to: l.To, id: id})
 		}
 	}
+	if len(support) == 0 {
+		return nil, fmt.Errorf("%w: no link carries a positive rate", ErrNotPacked)
+	}
+	m := newMaster(support, sol.EdgeRate, p.NumLinks())
 
 	// Phase 1 — peel: extract max-bottleneck arborescences from the
 	// residual rates. Every full-bottleneck peel saturates at least one
 	// support edge, so the loop ends after at most len(support)+1 rounds.
 	residual := append([]float64(nil), sol.EdgeRate...)
-	var trees []*platform.Tree
+	inTree := make([]bool, p.NumNodes())
 	remaining := tp
 	for remaining > tol {
-		t := maxBottleneckArborescence(p, source, residual, support)
+		t := maxBottleneckArborescence(p, source, residual, support, inTree)
 		if t == nil {
 			break
 		}
@@ -124,90 +150,85 @@ func Decompose(p *platform.Platform, source int, sol *steady.Solution, opts *Opt
 		if w > remaining {
 			w = remaining
 		}
-		for _, id := range t.LinkIDs() {
-			residual[id] -= w
+		for _, id := range t.ParentLink {
+			if id >= 0 {
+				residual[id] -= w
+			}
 		}
 		remaining -= w
-		trees = append(trees, t)
+		m.add(t)
 	}
-	pk.Peeled = len(trees)
+	pk.Peeled = len(m.trees)
 
-	// Phase 2 — certify: restricted master LP over the peeled trees,
+	// Phase 2 — certify: restricted master over the peeled trees,
 	// generating min-cost-arborescence columns on the master duals until
 	// the packing value reaches the LP throughput or no tree prices in.
-	caps := make([]float64, len(support))
-	for i, e := range support {
-		caps[i] = sol.EdgeRate[e.id]
-	}
-	colIdx := make(map[string]bool, len(trees))
-	for _, t := range trees {
-		colIdx[treeKey(t)] = true
-	}
-	var weights []float64
-	value := 0.0
-	maxRounds := 4*len(support) + 16
-	for round := 0; ; round++ {
-		if len(trees) == 0 {
-			// The peel never found an arborescence; price one with zero
-			// costs to seed the master (it exists whenever tp > 0 — the LP
-			// rates support flow to every alive destination).
-			seed := make([]edge, len(support))
-			copy(seed, support)
-			chosen, _, ok := minCostArborescence(p, source, seed)
-			if !ok {
-				return nil, fmt.Errorf("%w: support graph carries no arborescence", ErrNotPacked)
-			}
-			t, err := treeFromEdges(p, source, chosen)
-			if err != nil {
-				return nil, err
-			}
-			trees = append(trees, t)
-			colIdx[treeKey(t)] = true
-			pk.Priced++
-		}
-		var sol2 *lp.Solution
-		var err error
-		sol2, weights, err = solveMaster(trees, support, caps)
+	pr := newPricer(p, source, support)
+	if len(m.trees) == 0 {
+		// The peel never found an arborescence; price one with zero costs to
+		// seed the master (it exists whenever tp > 0 — the LP rates support
+		// flow to every alive destination).
+		t, _, err := pr.price(make([]float64, len(support)))
 		if err != nil {
 			return nil, err
 		}
-		value = sol2.Objective
+		m.add(t)
+		pk.Priced++
+	}
+	// stopped names the exit that ended column generation short of tp.
+	var stopped string
+	best, lastGain := 0.0, 0
+	for round := 0; ; round++ {
+		value, y, err := m.solve()
+		if err != nil {
+			// Seen on large symmetric platforms only (homogeneous-cluster:96):
+			// a stalled warm re-solve falls back to a cold phase 1 over every
+			// tree row, which the degenerate master does not survive. The
+			// weights went with the basis, so there is no short packing.
+			return nil, fmt.Errorf("%w: after %d rounds: %v", ErrNotPacked, pk.Rounds, err)
+		}
+		pk.Rounds++
+		if observe != nil {
+			observe(m, value)
+		}
 		if value >= tp-tol {
 			break // the packing achieves the LP throughput
 		}
+		if value > best+tol {
+			best, lastGain = value, round
+		}
 		if round >= maxRounds {
+			stopped = fmt.Sprintf("round ceiling (%d) reached with the master value still rising", maxRounds)
+			break
+		}
+		if round-lastGain >= stallRounds(len(support)) {
+			stopped = fmt.Sprintf("master value stalled at %v for %d rounds", value, round-lastGain)
 			break
 		}
 		// Price a new column: the cheapest arborescence under the master
 		// duals. Its dual cost below 1 means positive reduced cost.
-		priced := make([]edge, len(support))
-		copy(priced, support)
-		for i := range priced {
-			d := sol2.Dual[i]
-			if d < 0 {
-				d = 0
-			}
-			priced[i].cost = d
-		}
-		chosen, cost, ok := minCostArborescence(p, source, priced)
-		if !ok || cost >= 1-priceEps {
-			break // dual certificate: no tree can improve the master
-		}
-		t, err := treeFromEdges(p, source, chosen)
+		t, cost, err := pr.price(y)
 		if err != nil {
 			return nil, err
 		}
-		key := treeKey(t)
-		if colIdx[key] {
-			break // numerically stuck: the improving column already exists
+		if cost >= 1-priceEps {
+			stopped = fmt.Sprintf("dual certificate: cheapest tree prices at %v, master value %v is the maximum over the rate graph", cost, value)
+			break
 		}
-		colIdx[key] = true
-		trees = append(trees, t)
+		if !m.add(t) {
+			stopped = fmt.Sprintf("numerically stuck: pricing returned a column the master already holds (dual cost %v)", cost)
+			break
+		}
 		pk.Priced++
 	}
+	pk.MasterPivots = m.pivots()
 
 	// Assemble: positive-weight trees in deterministic (generation) order.
-	for i, t := range trees {
+	weights, err := m.weights()
+	if err != nil {
+		return nil, err
+	}
+	for i, t := range m.trees {
 		if weights[i] > supportEps {
 			pk.Trees = append(pk.Trees, steady.PackedTree{Tree: t, Weight: weights[i]})
 			pk.Throughput += weights[i]
@@ -217,70 +238,15 @@ func Decompose(p *platform.Platform, source int, sol *steady.Solution, opts *Opt
 		truncatePacking(pk, cap)
 	}
 	sol.Packing = pk
+	//lint:ignore detrand wall-time instrumentation (Packing.WallNanos); never marshaled
+	pk.WallNanos = time.Since(start).Nanoseconds()
 	if pk.Throughput < tp-10*tol && !pk.Truncated {
-		return pk, fmt.Errorf("%w: packed %v of %v", ErrNotPacked, pk.Throughput, tp)
+		if stopped == "" {
+			stopped = "the master reached the LP throughput but its tree weights do not sum to it"
+		}
+		return pk, fmt.Errorf("%w: packed %v of %v after %d rounds: %s", ErrNotPacked, pk.Throughput, tp, pk.Rounds, stopped)
 	}
 	return pk, nil
-}
-
-// solveMaster solves the restricted master LP — maximize the total weight
-// of the current trees subject to the summed per-edge weights staying
-// within the support capacities — and returns the LP solution (for its
-// duals) plus the per-tree weights.
-func solveMaster(trees []*platform.Tree, support []edge, caps []float64) (*lp.Solution, []float64, error) {
-	prob := lp.NewProblem(len(trees))
-	obj := make([]float64, len(trees))
-	for i := range obj {
-		obj[i] = 1
-	}
-	prob.SetObjective(obj)
-	// One capacity row per support edge, in support order (the dual index
-	// contract pricing relies on). usage[edge index] -> tree terms.
-	rowOf := make(map[int]int, len(support)) // link ID -> support index
-	for i, e := range support {
-		rowOf[e.id] = i
-	}
-	terms := make([][]lp.Term, len(support))
-	for ti, t := range trees {
-		for _, id := range t.LinkIDs() {
-			ri := rowOf[id]
-			terms[ri] = append(terms[ri], lp.Term{Var: ti, Coeff: 1})
-		}
-	}
-	for i := range support {
-		prob.AddSparseConstraint(terms[i], lp.LE, caps[i])
-	}
-	sol, err := lp.Solve(prob, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pack: master solve: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, nil, fmt.Errorf("pack: master solve ended %v", sol.Status)
-	}
-	return sol, sol.X, nil
-}
-
-// treeFromEdges assembles a platform tree from chosen arborescence edges.
-func treeFromEdges(p *platform.Platform, root int, chosen []edge) (*platform.Tree, error) {
-	t := platform.NewTree(p.NumNodes(), root)
-	for _, e := range chosen {
-		if t.Parent[e.to] != -1 {
-			return nil, fmt.Errorf("pack: arborescence gives node %d two parents", e.to)
-		}
-		t.SetParent(e.to, e.from, e.id)
-	}
-	if err := t.ValidateLive(p); err != nil {
-		return nil, fmt.Errorf("pack: priced arborescence invalid: %w", err)
-	}
-	return t, nil
-}
-
-// treeKey is a canonical signature of a tree's edge set, used to detect a
-// priced column that already exists in the master.
-func treeKey(t *platform.Tree) string {
-	ids := append([]int(nil), t.LinkIDs()...)
-	sort.Ints(ids)
-	return fmt.Sprint(ids)
 }
 
 // truncatePacking keeps the cap heaviest trees (ties broken by original

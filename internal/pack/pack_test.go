@@ -2,7 +2,10 @@ package pack_test
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dynamic"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/scenarios"
 	"repro/internal/steady"
 	"repro/internal/throughput"
+	"repro/internal/topology"
 )
 
 // packTol is the contract bar pinned by ISSUE acceptance: the packed
@@ -31,6 +35,53 @@ func solveAndPack(t *testing.T, p *platform.Platform, source int, opts *pack.Opt
 	}
 	return sol, pk
 }
+
+// benchCell is one platform of the repo benchmark (bench/workloads.go): a
+// registry family and size under the benchmark's pool seed and the cell's
+// instance number, solved the way the benchmark's plans are — on the revised
+// master, whose edge rates are what its packings decompose.
+type benchCell struct {
+	family     string
+	size, inst int
+}
+
+func (c benchCell) String() string { return fmt.Sprintf("%s:%d#%d", c.family, c.size, c.inst) }
+
+func (c benchCell) solve(tb testing.TB) (*platform.Platform, *steady.Solution) {
+	tb.Helper()
+	s, err := scenarios.Get(c.family)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const poolSeed = 7
+	p, err := s.Generate(c.size, topology.DeriveSeed(poolSeed, fmt.Sprintf("bench/%s:%d", c.family, c.size), c.inst))
+	if err != nil {
+		tb.Fatalf("%v: %v", c, err)
+	}
+	sol, err := steady.Solve(p, 0, &steady.Options{Revised: true})
+	if err != nil {
+		tb.Fatalf("%v: solve: %v", c, err)
+	}
+	return p, sol
+}
+
+// packKtreeCells are the eleven plans of the benchmark's pack-ktree workload.
+var packKtreeCells = []benchCell{
+	{"tiers", 192, 1},
+	{"homogeneous-cluster", 48, 0},
+	{"random-sparse", 64, 2}, {"random-sparse", 64, 1},
+	{"tiers", 160, 0},
+	{"random-dense", 48, 1}, {"random-dense", 48, 0}, {"random-dense", 48, 2},
+	{"random-dense", 64, 2},
+	{"homogeneous-cluster", 44, 0},
+	{"homogeneous-cluster", 40, 0},
+}
+
+// formerKnownFailure is the cell that workload probed as a known failure:
+// ErrNotPacked, 84.95 of 84.97, while column generation ended on a round cap
+// of 4·|support|+16 = 508 with the master value still climbing. It reaches
+// the LP throughput at round 557.
+var formerKnownFailure = benchCell{"random-sparse", 64, 0}
 
 // TestPackingInvariantsRegistryWide is the property tier over the whole
 // scenario registry at every default size: each packed tree spans the alive
@@ -277,10 +328,144 @@ func TestDecomposeDegenerate(t *testing.T) {
 	}
 }
 
-// BenchmarkDecompose measures the packing cost alone (solve excluded) on
-// representative platforms; CI publishes the n=96 numbers in BENCH_pack.
+// TestFormerKnownFailurePacks the benchmark's known-failure cell packs to the
+// LP throughput now that column generation stops on progress, not on a round
+// count: it needs 557 rounds where the cap allowed 508.
+func TestFormerKnownFailurePacks(t *testing.T) {
+	p, sol := formerKnownFailure.solve(t)
+	pk, err := pack.Decompose(p, 0, sol, &pack.Options{MaxTrees: 256})
+	if err != nil {
+		t.Fatalf("decompose: %v", err)
+	}
+	if err := pk.Validate(p, sol.EdgeRate, packTol(sol.Throughput)); err != nil {
+		t.Error(err)
+	}
+	if gap := sol.Throughput - pk.Throughput; math.Abs(gap) > packTol(sol.Throughput) {
+		t.Errorf("packed %v vs LP optimum %v (gap %v)", pk.Throughput, sol.Throughput, gap)
+	}
+}
+
+// TestNotPackedNamesItsExit a decomposition that ends short of the LP
+// throughput says which exit ended it. Rates that cannot carry the claimed
+// throughput end on the dual certificate: no tree prices in, and the master
+// value is the most the rate graph holds.
+func TestNotPackedNamesItsExit(t *testing.T) {
+	s, err := scenarios.Get(scenarios.NameGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Generate(16, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := steady.Solve(p, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflated := &steady.Solution{Throughput: 1.5 * sol.Throughput, EdgeRate: sol.EdgeRate}
+	pk, err := pack.Decompose(p, 0, inflated, nil)
+	if !errors.Is(err, pack.ErrNotPacked) {
+		t.Fatalf("decomposing rates that carry 2/3 of the claimed throughput: err = %v, want ErrNotPacked", err)
+	}
+	if !strings.Contains(err.Error(), "dual certificate") || !strings.Contains(err.Error(), "rounds") {
+		t.Errorf("ErrNotPacked does not name the exit that ended column generation: %v", err)
+	}
+	// The short packing is still the best one inside the rate graph.
+	if pk == nil || math.Abs(pk.Throughput-sol.Throughput) > packTol(sol.Throughput) {
+		t.Errorf("short packing %+v, want the rate graph's own optimum %v", pk, sol.Throughput)
+	} else if err := pk.Validate(p, sol.EdgeRate, packTol(sol.Throughput)); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMasterMatchesDenseOracle is the differential tier of the warm dual
+// master: after every column-generation round the restricted master is
+// re-solved, on the same tree set, the way this package solved it before —
+// the primal rebuilt from scratch and cold-solved on the dense tableau — and
+// the two values must agree within 1e-7·max(1, TP); the finished packing must
+// validate and sit within 1e-6 of the LP optimum. Registry-wide at the
+// default sizes, then on the benchmark's pack-ktree cells (skipped with
+// -short: the oracle is what made those plans slow).
+func TestMasterMatchesDenseOracle(t *testing.T) {
+	check := func(t *testing.T, name string, p *platform.Platform, sol *steady.Solution, opts *pack.Options) {
+		t.Helper()
+		bar := 1e-7 * math.Max(1, sol.Throughput)
+		rounds, worst := 0, 0.0
+		pk, err := pack.DecomposeAgainstOracle(p, 0, sol, opts, func(round int, value, oracle float64) {
+			rounds++
+			if diff := math.Abs(value - oracle); diff > worst {
+				worst = diff
+				if diff > bar {
+					t.Errorf("%s round %d: dual master %v, dense oracle %v (diff %v > %v)", name, round, value, oracle, diff, bar)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rounds != pk.Rounds || rounds == 0 {
+			t.Errorf("%s: oracle saw %d rounds, packing records %d", name, rounds, pk.Rounds)
+		}
+		if err := pk.Validate(p, sol.EdgeRate, packTol(sol.Throughput)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if gap := math.Abs(sol.Throughput - pk.Throughput); gap > packTol(sol.Throughput) && !pk.Truncated {
+			t.Errorf("%s: packed %v vs LP optimum %v", name, pk.Throughput, sol.Throughput)
+		}
+	}
+	for _, s := range scenarios.All() {
+		s := s
+		t.Run(s.Name, func(t *testing.T) {
+			for _, n := range s.DefaultSizes {
+				p, err := s.Generate(n, 42)
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				sol, err := steady.Solve(p, 0, nil)
+				if err != nil {
+					t.Fatalf("n=%d: solve: %v", n, err)
+				}
+				check(t, fmt.Sprintf("n=%d", n), p, sol, nil)
+			}
+		})
+	}
+	t.Run("pack-ktree", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("dense oracle on every round of the benchmark cells")
+		}
+		for _, c := range packKtreeCells {
+			c := c
+			t.Run(c.String(), func(t *testing.T) {
+				t.Parallel()
+				p, sol := c.solve(t)
+				check(t, c.String(), p, sol, &pack.Options{MaxTrees: 256})
+			})
+		}
+	})
+}
+
+// BenchmarkDecompose measures the packing cost alone (solve excluded): on
+// representative registry platforms, on the eleven plans of the repo
+// benchmark's pack-ktree workload, and on the cell that workload listed as a
+// known failure. Beside ns/op and the allocation columns each case reports
+// its column-generation rounds and master pivots, both deterministic. CI
+// publishes one pass as BENCH_pack.txt.
 func BenchmarkDecompose(b *testing.B) {
-	cases := []struct {
+	run := func(name string, p *platform.Platform, sol *steady.Solution, opts *pack.Options) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var pk *steady.Packing
+			for i := 0; i < b.N; i++ {
+				var err error
+				if pk, err = pack.Decompose(p, 0, sol, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(pk.Rounds), "rounds")
+			b.ReportMetric(float64(pk.MasterPivots), "pivots")
+		})
+	}
+	for _, c := range []struct {
 		family string
 		size   int
 	}{
@@ -288,8 +473,7 @@ func BenchmarkDecompose(b *testing.B) {
 		{scenarios.NameTiers, 96},
 		{scenarios.NameRandomDense, 50},
 		{scenarios.NameGrid, 36},
-	}
-	for _, c := range cases {
+	} {
 		s, err := scenarios.Get(c.family)
 		if err != nil {
 			b.Fatal(err)
@@ -302,12 +486,10 @@ func BenchmarkDecompose(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.family, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pack.Decompose(p, 0, sol, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		run(c.family, p, sol, nil)
+	}
+	for _, c := range append(packKtreeCells[:len(packKtreeCells):len(packKtreeCells)], formerKnownFailure) {
+		p, sol := c.solve(b)
+		run("pack-ktree/"+c.String(), p, sol, &pack.Options{MaxTrees: 256})
 	}
 }

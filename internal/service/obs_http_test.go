@@ -142,6 +142,39 @@ func TestHTTPTraceHeaderAndEndpoint(t *testing.T) {
 	}
 }
 
+// TestHTTPTraceSolveSpanPackingStage a k-tree plan's solve span adds the
+// packing stage to the separation stage: its rounds and pivots, and on the
+// WallClock tracer bcast-serve runs, its wall.
+func TestHTTPTraceSolveSpanPackingStage(t *testing.T) {
+	srv, _ := tracedServer(t, nil)
+	resp, body := postJSON(t, srv, "/v1/plan", PlanRequest{Platform: smallPlatform(t, 31), Source: 0, Trees: 64})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k-tree plan status %d: %s", resp.StatusCode, body)
+	}
+	dump, err := http.Get(srv.URL + "/v1/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env traceEnvelope
+	err = json.NewDecoder(dump.Body).Decode(&env)
+	dump.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(env.Traces) != 1 || env.Traces[0].ID != resp.Header.Get("X-Bcast-Trace") {
+		t.Fatalf("trace dump does not hold the k-tree plan's trace: %+v", env.Traces)
+	}
+	for _, ev := range env.Traces[0].Events {
+		if ev.Kind == obs.SpanSolve {
+			if ev.PackRounds <= 0 || ev.PackPivots <= 0 || ev.PackNs <= 0 {
+				t.Fatalf("WallClock solve span of a k-tree plan without a packing stage: %+v", ev)
+			}
+			return
+		}
+	}
+	t.Fatalf("k-tree miss recorded no solve span: %+v", env.Traces[0].Events)
+}
+
 // TestHTTPPrometheusMetrics scrapes GET /metrics and validates the
 // exposition: well-formed Prometheus text covering every engine counter
 // family plus the solve-stage summaries and per-route HTTP families.

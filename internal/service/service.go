@@ -1224,11 +1224,27 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 		ColdPivots: sol.ColdPivots,
 		Flows:      sol.MaxFlows,
 	}
+	// The packing reads nothing but the solution; it runs here so the solve
+	// span can say what it cost.
+	var pk *steady.Packing
+	var packErr error
+	if req.Trees > 0 {
+		pk, packErr = pack.Decompose(sp, req.Source, sol, &pack.Options{MaxTrees: req.Trees})
+		if pk != nil {
+			sev.PackRounds, sev.PackPivots = pk.Rounds, pk.MasterPivots
+		}
+	}
 	if tc.Wall() {
 		sev.DurNs = elapsed.Nanoseconds()
 		sev.SepNs = sol.SepWallNanos
+		if pk != nil {
+			sev.PackNs = pk.WallNanos
+		}
 	}
 	tc.Add(sev)
+	if packErr != nil {
+		return nil, nil, nil, nil, fmt.Errorf("service: tree packing: %w", packErr)
+	}
 
 	exact := exactHash(sp)
 	plan := &Plan{
@@ -1258,11 +1274,7 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 			plan.Ratio = tp / sol.Throughput
 		}
 	}
-	if req.Trees > 0 {
-		pk, err := pack.Decompose(sp, req.Source, sol, &pack.Options{MaxTrees: req.Trees})
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("service: tree packing: %w", err)
-		}
+	if pk != nil {
 		plan.Packing = pk
 		plan.PackedThroughput = pk.Throughput
 		plan.PackedTrees = pk.NumTrees()

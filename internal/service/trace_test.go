@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,6 +93,9 @@ func TestEngineTraceLifecycle(t *testing.T) {
 	if solve.DurNs != 0 || solve.SepNs != 0 || cold.StartNs != 0 {
 		t.Fatalf("deterministic trace leaked wall-clock fields: %+v", cold)
 	}
+	if solve.PackRounds != 0 || solve.PackPivots != 0 {
+		t.Fatalf("trees=0 plan reports a packing on its solve span: %+v", solve)
+	}
 	wantWarm := []obs.SpanKind{obs.SpanBase, obs.SpanLookup, obs.SpanAdmit, obs.SpanSolve}
 	if got := eventKinds(warm); len(got) != len(wantWarm) || got[0] != obs.SpanBase {
 		t.Fatalf("warm delta span sequence = %v, want %v", got, wantWarm)
@@ -109,6 +113,43 @@ func TestEngineTraceLifecycle(t *testing.T) {
 	}
 	if hits[0].Key == "" || hits[0].Key != cold.Key {
 		t.Fatalf("hit and miss of one platform should share the identity key: %q vs %q", hits[0].Key, cold.Key)
+	}
+}
+
+// TestSolveSpanCarriesPackingCounts a k-tree plan's solve span reports what
+// the packing that followed the resolve cost — the column-generation rounds
+// and master pivots pack.Decompose recorded on the packing — and, on a
+// deterministic tracer, not its wall.
+func TestSolveSpanCarriesPackingCounts(t *testing.T) {
+	e := tracedEngine(Config{Workers: 1})
+	res, err := e.Plan(PlanRequest{Platform: smallPlatform(t, 31), Source: 0, Trees: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := res.Plan.Packing
+	if pk == nil || pk.Rounds <= 0 || pk.MasterPivots <= 0 || pk.WallNanos <= 0 {
+		t.Fatalf("packing carries no decomposition cost: %+v", pk)
+	}
+	traces := e.Tracer().Snapshot(obs.OutcomeMiss, 0)
+	if len(traces) != 1 {
+		t.Fatalf("miss traces = %d, want 1", len(traces))
+	}
+	solve := traces[0].Events[len(traces[0].Events)-1]
+	if solve.Kind != obs.SpanSolve || solve.PackRounds != pk.Rounds || solve.PackPivots != pk.MasterPivots {
+		t.Fatalf("solve span %+v, want the packing's %d rounds / %d pivots", solve, pk.Rounds, pk.MasterPivots)
+	}
+	if solve.PackNs != 0 {
+		t.Fatalf("deterministic trace leaked the packing wall: %+v", solve)
+	}
+	// None of the three reaches the plan bytes.
+	buf, err := json.Marshal(pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"ounds", "ivots", "anos"} {
+		if strings.Contains(string(buf), field) {
+			t.Fatalf("packing JSON marshals a decomposition-cost field (%q): %s", field, buf)
+		}
 	}
 }
 

@@ -27,7 +27,9 @@
 //
 //   - SolveDirect encodes LP (2) directly (per-destination flow variables);
 //     its size grows as |E|·|V| so it is only practical for small platforms,
-//     where it cross-checks the cutting-plane solver in tests. The point
-//     the dense simplex returns is certified against the model before it is
-//     reported; a point that fails is ErrLPFailed, never a throughput.
+//     where it cross-checks the cutting-plane solver in tests. It is solved
+//     on lp.Revised (the dense tableau pivots on round-off on this LP's
+//     all-zero right-hand sides), and the point is certified against the
+//     model before it is reported; a point that fails is ErrLPFailed, never
+//     a throughput.
 package steady

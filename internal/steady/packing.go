@@ -51,6 +51,15 @@ type Packing struct {
 	// than the requested cap and the lightest ones were dropped: Throughput
 	// is then the honest (smaller) sum of the surviving weights.
 	Truncated bool `json:"truncated,omitempty"`
+	// Rounds is the number of restricted-master solves column generation
+	// ran and MasterPivots the simplex pivots they took in total; WallNanos
+	// is the wall-clock time of the whole decomposition. The two counts are
+	// deterministic. None of the three is marshaled: like
+	// Solution.LPWallNanos they feed traces and benchmarks, and the plan
+	// bytes stay what they were.
+	Rounds       int   `json:"-"`
+	MasterPivots int   `json:"-"`
+	WallNanos    int64 `json:"-"`
 }
 
 // NumTrees returns the number of packed trees.

@@ -156,15 +156,18 @@ func Solve(p *platform.Platform, source int, opts *Options) (*Solution, error) {
 
 // SolveDirect encodes LP (2) of the paper directly: per-destination flow
 // variables x^w_e, edge rates n_e and the throughput TP. It is exponential
-// in neither |V| nor |E| but its dense tableau grows as (|V|·|E|)², so it is
-// intended for small platforms (tests and examples).
+// in neither |V| nor |E| but has |V|·|E| variables and as many rows, so it
+// is intended for small platforms (tests and examples).
 //
-// The point the dense simplex returns is certified before it is reported
-// (see certifyDirect): the flow-conservation rows all share a zero right-hand
-// side, and on such massively degenerate tableaux the dense ratio test can
-// pivot on round-off and end "optimal" on a point that violates its own
-// constraints. A point that fails certification is ErrLPFailed, never a
-// throughput.
+// It is solved cold on lp.Revised, which recomputes the basic values from
+// the problem data at every refactorization and certifies its optimum
+// against the original columns. The dense tableau does neither: the
+// flow-conservation rows all share a zero right-hand side, and on such
+// massively degenerate tableaux its ratio test pivots on round-off and ends
+// "optimal" on points that violate their own constraints (six of six
+// grid:16 instances). The returned point is still certified against the
+// model before it is reported (see certifyDirect); a point that fails is
+// ErrLPFailed, never a throughput.
 func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, error) {
 	if err := p.Validate(source); err != nil {
 		return nil, err
@@ -245,7 +248,7 @@ func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, er
 		}
 	}
 
-	lpSol, err := lp.Solve(problem, opts.lpOptions())
+	lpSol, err := lp.NewRevised(problem, opts.lpOptions()).Solve()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrLPFailed, err)
 	}
@@ -265,7 +268,7 @@ func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, er
 		sol.EdgeRate[id] = lpSol.X[nVar(id)]
 	}
 	if err := certifyDirect(p, source, sol); err != nil {
-		return nil, fmt.Errorf("%w: dense simplex returned an infeasible point as optimal: %v", ErrLPFailed, err)
+		return nil, fmt.Errorf("%w: simplex returned an infeasible point as optimal: %v", ErrLPFailed, err)
 	}
 	return sol, nil
 }
