@@ -39,11 +39,12 @@ bench-lp:
 
 # bench-smoke mirrors the CI test job's benchmark step: bench/ is its own
 # module, so the root `go test ./...` does not compile its adapter; this
-# does, then runs two smoke-scale workloads through the real entry point —
-# one that never packs, one that packs every plan.
+# does, then runs three smoke-scale workloads through the real entry point —
+# one bound by cut separation, one by the master LP, one that packs every plan.
 bench-smoke:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload cold-sep --scale smoke
+	bash bench/run.sh --workload cold-lp --scale smoke
 	bash bench/run.sh --workload pack-ktree --scale smoke
 
 check: build test lint

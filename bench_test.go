@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/topology"
 )
 
 // benchName builds a sub-benchmark name like "nodes=30".
@@ -140,9 +141,11 @@ func benchPlatform(b *testing.B, nodes int, density float64) *Platform {
 // hierarchical registry families (where the master accumulates the most
 // cuts) at their largest default sizes, plus two flatter families for
 // contrast, in the default warm-started mode and with the cold-start path
-// forced. It reports simplex pivot and round counts per solve; the CI perf
-// job runs it with -benchtime=1x and archives the output to track the
-// solver's trajectory.
+// forced, then on the LP-bound cells of the repo benchmark's cold-lp
+// workload under the revised master. It reports simplex pivot and round
+// counts (and, on the LP-bound cells, cold master solves) per solve; the CI
+// perf job runs it with -benchtime=1x and archives the output
+// (BENCH_steady.txt) to track the solver's trajectory.
 func BenchmarkSteadySolve(b *testing.B) {
 	for _, c := range []struct {
 		scenario string
@@ -178,6 +181,50 @@ func BenchmarkSteadySolve(b *testing.B) {
 				b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 			})
 		}
+	}
+
+	// The LP-bound cells: the nine platforms of the repo benchmark's cold-lp
+	// workload (bench/workloads.go: pool seed 7, instance-derived seeds) and
+	// grid:256, on the revised master. cold-solves/op is 1 when every round
+	// after the first re-solves warm; anything above it is a warm re-solve
+	// that fell back. An LP change shows here as a committed-shape
+	// before/after without the benchmark driver.
+	for _, c := range []struct {
+		scenario   string
+		size, inst int // inst < 0: the plain registry platform at seed 7
+	}{
+		{"random-dense", 80, 0},
+		{"grid", 81, 0}, {"grid", 81, 3}, {"grid", 81, 1},
+		{"random-dense", 64, 0}, {"random-dense", 64, 1},
+		{"random-sparse", 96, 4},
+		{"tiers", 224, 0},
+		{"grid", 64, 3},
+		{"grid", 256, -1},
+	} {
+		name, seed := fmt.Sprintf("%s:%d", c.scenario, c.size), int64(7)
+		if c.inst >= 0 {
+			seed = topology.DeriveSeed(7, "bench/"+name, c.inst)
+			name = fmt.Sprintf("%s#%d", name, c.inst)
+		}
+		p, err := GenerateScenario(c.scenario, c.size, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("cold-lp/"+name, func(b *testing.B) {
+			var pivots, rounds, coldSolves int
+			for i := 0; i < b.N; i++ {
+				sol, err := OptimalThroughputWith(p, 0, &OptimalOptions{Revised: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				pivots += sol.LPIterations
+				rounds += sol.Rounds
+				coldSolves += sol.ColdSolves
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(coldSolves)/float64(b.N), "cold-solves/op")
+		})
 	}
 }
 

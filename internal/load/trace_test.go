@@ -64,6 +64,11 @@ func TestReplayTraceDeterminismAcrossWorkers(t *testing.T) {
 					if bytes.Contains(dump, []byte(`"packRounds"`)) != tc.packs || bytes.Contains(dump, []byte(`"packNs"`)) {
 						t.Fatalf("dump should carry packing rounds exactly when the mix packs (%v), and no packing wall:\n%s", tc.packs, dump)
 					}
+					// The cold-solve count is a count: on the deterministic
+					// side, byte-identical across worker counts with the rest.
+					if !bytes.Contains(dump, []byte(`"coldSolves": 1`)) {
+						t.Fatalf("dump should carry the solve spans' cold master solve counts:\n%s", dump)
+					}
 					continue
 				}
 				if !bytes.Equal(dump, ref) {
@@ -106,6 +111,11 @@ func TestReplayTraceContents(t *testing.T) {
 			}
 			if ev.Kind == obs.SpanSolve && ev.Err == "" && ev.Flows <= 0 {
 				t.Fatalf("deterministic trace %s: solve span without its separation flow count: %+v", tr.ID, ev)
+			}
+			// Every solve of the overload mix is a cold plan on a healthy
+			// master: the first master solve cold, the rest warm.
+			if (ev.Kind == obs.SpanSolve || ev.Kind == obs.SpanRefine) && ev.Err == "" && ev.ColdSolves != 1 {
+				t.Fatalf("deterministic trace %s: %s span counts %d cold master solves, want 1: %+v", tr.ID, ev.Kind, ev.ColdSolves, ev)
 			}
 			if ev.Kind == obs.SpanQueueWait {
 				t.Fatalf("deterministic trace %s carries a queue-wait span (wall-only): %+v", tr.ID, tr.Events)

@@ -35,6 +35,19 @@
 //     steady state; numerical trouble falls back to the dense solvers (see
 //     NewRevised and FactorStats).
 //
+// Degeneracy: a cutting-plane master is massively dual degenerate (every
+// unused link prices to a reduced cost of exactly zero), and an unperturbed
+// dual simplex spends its whole warm budget on zero-length steps. Revised
+// therefore runs each dual phase on perturbed costs: every nonbasic column
+// j is made cheaper by a distinct δ_j in [1e-6, 2e-6), a fixed hash of j —
+// no random source, the same pivots on every run — so every step has
+// positive length and the dual objective falls strictly. The shift is dropped
+// when the dual phase ends; the primal polish, the residual certificate and
+// Duals all run on the costs as given, so the optimum is exact, not
+// approximate. A warm attempt that fails all the same (its pivot budget, a
+// singular refactorization) costs one cold solve, and the next solve tries
+// warm again: Revised has no warm-disable latch (Incremental keeps its own).
+//
 // Duals: a cold Optimal solve reports them in Solution.Dual. A warm re-solve
 // does not compute them — the cutting-plane loop never reads them — and
 // Revised.Duals derives them from the basis the solve left behind when a

@@ -128,6 +128,13 @@ func TestDualsAbsentOffOptimal(t *testing.T) {
 // solve), then batches of LE, GE and EQ rows with mixed-sign coefficients,
 // whose right-hand sides — a·x0 plus, minus or without slack — come out
 // negative about as often as positive.
+//
+// A degenerate case is built to tie the dual ratio test: costs are 0, 1 or 2
+// (a third of them zero), about one column in three is an exact duplicate of
+// its left neighbour (same cost, same coefficient in every row, one shared
+// box row), coefficients are −1, 0 or 1, x0 is integral and half the rows
+// are tight at x0, so reduced costs and ratios coincide exactly instead of
+// almost never.
 type warmDualCase struct {
 	obj     []float64
 	x0      []float64
@@ -137,16 +144,29 @@ type warmDualCase struct {
 	batches [][2]int // row ranges [from, to) appended before each solve
 }
 
-func newWarmDualCase(rng *rand.Rand, nVars, nBatches int) *warmDualCase {
+func newWarmDualCase(rng *rand.Rand, nVars, nBatches int, degenerate bool) *warmDualCase {
 	c := &warmDualCase{obj: make([]float64, nVars), x0: make([]float64, nVars)}
+	dupOf := make([]int, nVars) // the column this one duplicates, itself otherwise
 	for j := range c.obj {
-		c.obj[j] = rng.Float64()*4 - 1
-		c.x0[j] = 0.5 + rng.Float64()*2
+		dupOf[j] = j
+		switch {
+		case !degenerate:
+			c.obj[j] = rng.Float64()*4 - 1
+			c.x0[j] = 0.5 + rng.Float64()*2
+		case j > 0 && rng.Intn(3) == 0:
+			dupOf[j] = dupOf[j-1]
+			c.obj[j] = c.obj[j-1]
+			c.x0[j] = float64(1 + rng.Intn(2))
+		default:
+			c.obj[j] = float64(rng.Intn(3))
+			c.x0[j] = float64(1 + rng.Intn(2))
+		}
 	}
 	add := func(row []float64, rel Relation, slack float64) {
 		var ax float64
-		for j, v := range row {
-			ax += v * c.x0[j]
+		for j := range row {
+			row[j] = row[dupOf[j]]
+			ax += row[j] * c.x0[j]
 		}
 		switch rel {
 		case LE:
@@ -156,28 +176,43 @@ func newWarmDualCase(rng *rand.Rand, nVars, nBatches int) *warmDualCase {
 		}
 		c.rows, c.rels, c.rhs = append(c.rows, row), append(c.rels, rel), append(c.rhs, ax)
 	}
+	coeff := func() float64 {
+		if degenerate {
+			return float64(rng.Intn(3) - 1)
+		}
+		return rng.Float64()*4 - 2
+	}
+	slack := func(scale float64) float64 {
+		if degenerate {
+			return float64(rng.Intn(2))
+		}
+		return scale * rng.Float64()
+	}
 	for j := 0; j < nVars; j++ {
+		if dupOf[j] != j {
+			continue // shares its original's box row
+		}
 		row := make([]float64, nVars)
 		row[j] = 1
-		add(row, LE, 1+rng.Float64()*3)
+		add(row, LE, 1+slack(3))
 	}
-	c.batches = append(c.batches, [2]int{0, nVars})
+	c.batches = append(c.batches, [2]int{0, len(c.rows)})
 	for b := 0; b < nBatches; b++ {
 		from := len(c.rows)
 		for r := 1 + rng.Intn(4); r > 0; r-- {
 			row := make([]float64, nVars)
 			for j := range row {
 				if rng.Intn(3) > 0 {
-					row[j] = rng.Float64()*4 - 2
+					row[j] = coeff()
 				}
 			}
 			switch rng.Intn(5) {
 			case 0:
 				add(row, EQ, 0)
 			case 1, 2:
-				add(row, GE, rng.Float64()*2)
+				add(row, GE, slack(2))
 			default:
-				add(row, LE, rng.Float64()*2)
+				add(row, LE, slack(2))
 			}
 		}
 		c.batches = append(c.batches, [2]int{from, len(c.rows)})
@@ -193,11 +228,17 @@ func newWarmDualCase(rng *rand.Rand, nVars, nBatches int) *warmDualCase {
 // given, and the objective they certify is the one a cold dense solve of the
 // same problem finds. A twin handle that is never asked for duals must move
 // in lockstep: same pivots, same point, bit for bit.
+//
+// The second half of the trials are dual-degenerate by construction (see
+// warmDualCase): there the dual phase runs on perturbed costs, and all of the
+// above must hold against the costs as given — the perturbation may decide
+// which optimal basis the solve ends on, never what it reports.
 func TestRevisedWarmDuals(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	warmChecked, negRHS, byRel := 0, 0, map[Relation]int{}
-	for trial := 0; trial < 120; trial++ {
-		c := newWarmDualCase(rng, 2+rng.Intn(7), 1+rng.Intn(6))
+	warmChecked, degenerateWarm, negRHS, byRel := 0, 0, 0, map[Relation]int{}
+	for trial := 0; trial < 240; trial++ {
+		degenerate := trial >= 120
+		c := newWarmDualCase(rng, 2+rng.Intn(7), 1+rng.Intn(6), degenerate)
 		asked, silent := NewProblem(len(c.obj)), NewProblem(len(c.obj))
 		asked.SetObjective(c.obj)
 		silent.SetObjective(c.obj)
@@ -222,6 +263,7 @@ func TestRevisedWarmDuals(t *testing.T) {
 			if sol.Status != Optimal {
 				t.Fatalf("trial %d batch %d: status %v on a problem feasible at x0 inside a box", trial, bi, sol.Status)
 			}
+			assertUnperturbed(t, rvAsked)
 			n := batch[1]
 			duals := rvAsked.Duals()
 			if len(duals) != n {
@@ -249,6 +291,9 @@ func TestRevisedWarmDuals(t *testing.T) {
 			}
 			if rvAsked.LastWarm() {
 				warmChecked++
+				if degenerate && sol.Iterations > 0 {
+					degenerateWarm++
+				}
 				for i := batch[0]; i < batch[1]; i++ {
 					byRel[c.rels[i]]++
 					if c.rhs[i] < 0 {
@@ -262,8 +307,9 @@ func TestRevisedWarmDuals(t *testing.T) {
 	}
 	// The property is vacuous unless warm re-solves with every row kind were
 	// among the checked ones.
-	if warmChecked < 200 || byRel[LE] < 100 || byRel[GE] < 100 || byRel[EQ] < 50 || negRHS < 100 {
-		t.Fatalf("coverage too thin: %d warm solves, rows %v, %d with negative rhs", warmChecked, byRel, negRHS)
+	if warmChecked < 400 || degenerateWarm < 100 || byRel[LE] < 200 || byRel[GE] < 200 || byRel[EQ] < 100 || negRHS < 100 {
+		t.Fatalf("coverage too thin: %d warm solves (%d degenerate ones that pivoted), rows %v, %d with negative rhs",
+			warmChecked, degenerateWarm, byRel, negRHS)
 	}
 }
 

@@ -91,6 +91,21 @@ func FuzzIncrementalLP(f *testing.F) {
 	// every other pivot (interval 2).
 	f.Add([]byte{0x01, 3, 20, 40, 60, 10, 30, 50, 2, 2, 64, 32, 96, 16, 3, 48, 80, 24, 8})
 	f.Add([]byte{0x02, 2, 40, 10, 80, 20, 2, 64, 64, 64, 64, 32, 1, 30, 90, 10, 70, 16})
+	// Dual degeneracy, where the revised dual phase runs on perturbed costs
+	// (coefficient bytes 32/64/96 are −1/0/1, cost byte 32 is 1, box byte 0
+	// is 1). Duplicate columns with zero and equal costs under Σx <= 1:
+	f.Add([]byte{0, 3, 0, 0, 0, 0, 32, 0, 32, 0, 0, 0, 2, 96, 96, 96, 96, 96, 64, 96, 96, 32, 32, 64, 0,
+		0, 32, 32, 96, 96, 64, 0, 1, 64, 64, 96, 96, 96, 32, 96, 64, 96, 64, 96, 32})
+	// Tied ratios: equal costs, equal boxes, 0/1 rows with equal right-hand sides.
+	f.Add([]byte{0, 2, 32, 0, 32, 0, 32, 0, 32, 0, 1, 96, 96, 96, 96, 128,
+		2, 96, 96, 64, 64, 64, 64, 64, 96, 96, 64, 96, 64, 96, 64, 64, 0, 96, 96, 96, 96, 64})
+	// A miniature cut master: zero-cost links, one unit-cost t, rows
+	// t − Σ_S x <= 0 with an exact zero right-hand side; then the same with a
+	// refactorization after every pivot, so repricing sees the shifted costs.
+	f.Add([]byte{0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 32, 0, 1, 32, 32, 64, 64, 96, 0,
+		1, 64, 64, 32, 32, 96, 0, 32, 64, 32, 64, 96, 0, 0, 64, 32, 32, 64, 96, 0})
+	f.Add([]byte{0x01, 3, 0, 0, 0, 0, 0, 0, 0, 0, 32, 0, 1, 32, 32, 64, 64, 96, 0,
+		1, 64, 64, 32, 32, 96, 0, 32, 64, 32, 64, 96, 0, 0, 64, 32, 32, 64, 96, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ctrl byte
@@ -122,6 +137,7 @@ func FuzzIncrementalLP(f *testing.F) {
 			if err != nil {
 				t.Fatalf("stage %d: revised solve: %v", stage, err)
 			}
+			assertUnperturbed(t, rev)
 			cold, err := Solve(p, nil)
 			if err != nil {
 				t.Fatalf("stage %d: cold solve: %v", stage, err)

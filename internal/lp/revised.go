@@ -29,13 +29,18 @@ import (
 //
 // Appended rows are stored sparsely and priced into the warm basis exactly
 // as Incremental does (GE rows negated, EQ rows split into paired LE rows);
-// the re-solve then runs dual simplex from the previous optimal basis. A
-// warm attempt that stalls falls back to a cold revised solve, and a cold
-// revised solve that fails numerically falls back to the dense tableau
-// (solveWithTableau) — the dense solver remains both the differential oracle
-// and the fallback of last resort. All scratch vectors and the eta file are
-// arena-backed and reused across solves, so steady-state warm pivoting does
-// not allocate.
+// the re-solve then runs dual simplex from the previous optimal basis, on
+// deterministically perturbed costs (see perturb) so that a dual-degenerate
+// master — a cut master prices most unused links to a reduced cost of zero —
+// takes steps of positive length instead of stalling; the perturbation is
+// dropped before the primal polish, so the optimum and the duals returned are
+// those of the problem as given. A warm attempt that still fails (budget,
+// numerical trouble) costs one cold revised solve and the next solve tries
+// warm again; a cold revised solve that fails numerically falls back to the
+// dense tableau (solveWithTableau) — the dense solver remains both the
+// differential oracle and the fallback of last resort. All scratch vectors
+// and the eta file are arena-backed and reused across solves, so steady-state
+// warm pivoting does not allocate.
 type Revised struct {
 	p    *Problem
 	opts *Options
@@ -80,6 +85,8 @@ type Revised struct {
 	resScratch []float64 // certification residual (rows)
 	d          []float64 // reduced costs per column
 	alpha      []float64 // dual pivot row per column
+	shift      []float64 // dual-phase cost perturbation per column (see perturb)
+	shifted    bool      // colCost subtracts shift: true only inside dualIterate
 
 	built    bool // factorized state matches the problem and may warm-start
 	status   Status
@@ -87,8 +94,6 @@ type Revised struct {
 	dual     []float64 // duals of the last Optimal solve, nil until known (see Duals)
 	objSnap  []float64
 	lastWarm bool
-	failures int
-	noWarm   bool
 
 	stats  IncrementalStats
 	fstats FactorStats
@@ -175,21 +180,19 @@ func (rv *Revised) Solve() (*Solution, error) {
 // its own — the revised form reprices every pivot from the basis
 // factorization, so the previous basis stays warm under primal simplex. A
 // canceled solve leaves the handle consistent but cold: the mid-pivot
-// factorization is discarded and never seeds a warm start, and the
-// cancellation does not count toward the warm-failure limit.
+// factorization is discarded and never seeds a warm start.
 func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 	if rv.p == nil || rv.p.numVars == 0 {
 		return nil, ErrBadProblem
 	}
 	rv.dual = nil
 	var warmSpent int
-	if rv.built && rv.status == Optimal && !rv.noWarm {
+	if rv.built && rv.status == Optimal {
 		sol := rv.warmSolve(ctx)
 		rv.stats.WarmSolves++
 		rv.stats.WarmPivots += sol.Iterations
 		if sol.Status == Optimal {
 			rv.lastWarm = true
-			rv.failures = 0
 			return sol, nil
 		}
 		if sol.Status == Canceled {
@@ -200,10 +203,6 @@ func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 		// factorized state and re-solve cold.
 		warmSpent = sol.Iterations
 		rv.invalidate()
-		rv.failures++
-		if rv.failures >= maxWarmFailures {
-			rv.noWarm = true
-		}
 	}
 	sol, err := rv.coldSolve(ctx)
 	if err != nil {
@@ -369,18 +368,23 @@ func (rv *Revised) finishBasis() {
 
 // colCost returns the objective coefficient of a column under the current
 // phase: the real objective for structural columns in phase 2, −1 for
-// artificials in phase 1, zero otherwise.
+// artificials in phase 1, zero otherwise — less the column's perturbation
+// while a dual phase is running (see perturb), so that pricing, an entering
+// column's basic cost and refactorization repricing all see the same costs.
 func (rv *Revised) colCost(j int) float64 {
-	if j < rv.nStruct {
-		if rv.phase1 {
-			return 0
+	var c float64
+	switch {
+	case j < rv.nStruct:
+		if !rv.phase1 {
+			c = rv.p.objective[j]
 		}
-		return rv.p.objective[j]
+	case rv.phase1 && rv.logArt[j-rv.nStruct]:
+		c = -1
 	}
-	if rv.phase1 && rv.logArt[j-rv.nStruct] {
-		return -1
+	if rv.shifted {
+		c -= rv.shift[j]
 	}
-	return 0
+	return c
 }
 
 // resetCosts recomputes the basic-cost vector under the current phase.
@@ -425,6 +429,7 @@ func (rv *Revised) ensureScratch() {
 	rv.resScratch = grow(rv.resScratch, m)
 	rv.d = grow(rv.d, nc)
 	rv.alpha = grow(rv.alpha, nc)
+	rv.shift = grow(rv.shift, nc)
 }
 
 // refactor rebuilds the singleton/core split and the dense core LU from the
@@ -816,15 +821,42 @@ func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detec
 	}
 }
 
-// infeasibility is the total primal infeasibility of the basic values.
-func (rv *Revised) infeasibility() float64 {
-	var s float64
-	for _, v := range rv.xB[:rv.m] {
-		if v < 0 {
-			s -= v
+// dualShift is δ of the dual phase's cost perturbation (see perturb). It is a
+// constant, not an option: on the benchmark's cutting-plane masters the solve
+// cost is flat for δ anywhere from 1e-8 to 1e-3, and of the values that also
+// hold on the hardest masters tried (1e-6 and up) this is the smallest
+// (docs/ARCHITECTURE.md, "Degeneracy").
+const dualShift = 1e-6
+
+// perturb starts a dual phase: with the true reduced costs in rv.d, it lowers
+// the cost of every nonbasic, non-banned column j by its own
+// δ_j ∈ [dualShift, 2·dualShift), a fixed integer hash of the column id. A cut
+// master prices most unused links to a reduced cost of exactly zero, so the
+// unperturbed dual ratio test ties at zero and the dual simplex takes
+// zero-length steps until its budget runs out; with every reduced cost
+// strictly negative and no two alike, every step has positive length and the
+// dual objective falls strictly. Basic columns keep their cost, so c_B and the
+// basis are untouched; the shift lives in colCost until unperturb.
+func (rv *Revised) perturb() {
+	d := rv.d[:rv.numCols()]
+	for j := range d {
+		if rv.banned[j] || rv.posOf[j] >= 0 {
+			rv.shift[j] = 0
+			continue
 		}
+		// Fibonacci hashing: the top 52 bits of j·2⁶⁴/φ as a fraction in [0,1).
+		frac := float64(uint64(j+1)*0x9E3779B97F4A7C15>>12) / (1 << 52)
+		rv.shift[j] = dualShift * (1 + frac)
+		d[j] -= rv.shift[j]
 	}
-	return s
+	rv.shifted = true
+}
+
+// unperturb ends the dual phase: costs are the problem's own again, so the
+// primal polish, certify and Duals that follow see the true LP.
+func (rv *Revised) unperturb() {
+	rv.shifted = false
+	rv.resetCosts()
 }
 
 // dualIterate restores primal feasibility with dual simplex pivots from a
@@ -832,10 +864,12 @@ func (rv *Revised) infeasibility() float64 {
 // negative basic value (Bland fallback on stall), entering column by the
 // smallest dual ratio with largest-magnitude-pivot tie-breaking. Reduced
 // costs are maintained incrementally from the pivot row and recomputed from
-// the factorization at every refactorization.
+// the factorization at every refactorization. The whole phase runs on
+// perturbed costs (perturb); whatever its verdict, the perturbation is gone
+// when it returns, and the caller's primal polish removes any dual
+// infeasibility the true costs have at the basis it ends on.
 func (rv *Revised) dualIterate(ctx context.Context, maxIter int, counter *int) Status {
 	stallLimit := 4 * (rv.m + 16)
-	lastInfeas := rv.infeasibility()
 	stalled := 0
 	useBland := false
 
@@ -845,6 +879,8 @@ func (rv *Revised) dualIterate(ctx context.Context, maxIter int, counter *int) S
 		rv.priceAll(y)
 	}
 	price()
+	rv.perturb()
+	defer rv.unperturb()
 	nc := rv.numCols()
 	for {
 		if *counter%cancelCheckInterval == 0 && pollCtx(ctx) {
@@ -927,6 +963,10 @@ func (rv *Revised) dualIterate(ctx context.Context, maxIter int, counter *int) S
 			continue
 		}
 		rate := d[enter] / alpha[enter]
+		// The dual objective moves by step length × x_B[leave] < 0; unlike the
+		// primal infeasibility it is monotone, so a pivot that does not lower
+		// it is a stalled one.
+		progress := rate*rv.xB[leave] < 0
 		old := rv.basis[leave]
 		rv.pivot(leave, enter, w)
 		*counter++
@@ -947,16 +987,10 @@ func (rv *Revised) dualIterate(ctx context.Context, maxIter int, counter *int) S
 			}
 			price()
 		}
-		if !useBland {
-			if s := rv.infeasibility(); s < lastInfeas-rv.tol {
-				lastInfeas = s
-				stalled = 0
-			} else {
-				stalled++
-				if stalled > stallLimit {
-					useBland = true
-				}
-			}
+		if progress {
+			stalled = 0
+		} else if stalled++; stalled > stallLimit {
+			useBland = true
 		}
 	}
 }

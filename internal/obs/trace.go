@@ -24,8 +24,9 @@ const (
 	// wall-clock data, so it is emitted only by a WallClock tracer.
 	SpanQueueWait SpanKind = "queue-wait"
 	// SpanSolve is one steady-state solve: cutting-plane rounds, cuts, the
-	// simplex pivot counts (warm/cold split) of this resolve, sourced from
-	// the incremental LP statistics, and the separation max-flow count.
+	// simplex pivot counts (warm/cold split) and cold master solves of this
+	// resolve, sourced from the incremental LP statistics, and the
+	// separation max-flow count.
 	SpanSolve SpanKind = "solve"
 	// SpanDegraded is the immediate heuristic answer of degraded mode.
 	SpanDegraded SpanKind = "degraded"
@@ -85,6 +86,10 @@ type Event struct {
 	Pivots     int `json:"pivots,omitempty"`
 	WarmPivots int `json:"warmPivots,omitempty"`
 	ColdPivots int `json:"coldPivots,omitempty"`
+	// ColdSolves counts the master solves of this resolve that ran cold. A
+	// healthy cold plan reads 1 (the first solve) and a warm delta 0;
+	// anything larger is a warm re-solve that stalled and fell back.
+	ColdSolves int `json:"coldSolves,omitempty"`
 	// Solve: the max-flows cut separation ran (one per alive destination per
 	// round), and the wall-clock time separation took — the solve's other
 	// large stage besides the master LP. Like DurNs, SepNs is set only on

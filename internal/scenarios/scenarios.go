@@ -496,7 +496,13 @@ func init() {
 			Description:  "2-D mesh, most square rows x cols factorisation of the size",
 			MinSize:      2,
 			DefaultSizes: []int{9, 16, 36},
-			LargeSizes:   []int{256, 512, 1024},
+			// No 1024: a large size is advertised only if it completes under
+			// its budget (TestRevisedLargeScenarioSizes). At n=1024 the master
+			// reaches ~7500 rows, warm pivots cost over a millisecond each
+			// and the solve wall swings from 0.8 s to past 30 s with the
+			// instance and with the dual phase's perturbation constants —
+			// luck, not a budget — until the cut loop purges slack cuts.
+			LargeSizes:   []int{256, 512},
 			ChurnProfile: dynamic.ProfileFlakyLinks,
 			Generate: withOverheads(func(size int, r *rand.Rand) (*platform.Platform, error) {
 				rows, cols := gridDims(size)

@@ -90,6 +90,9 @@ func TestHTTPTraceHeaderAndEndpoint(t *testing.T) {
 			if ev.Kind == obs.SpanSolve && (ev.Flows <= 0 || ev.SepNs <= 0 || ev.SepNs > ev.DurNs) {
 				t.Fatalf("WallClock solve span without a separation stage: %+v", ev)
 			}
+			if ev.Kind == obs.SpanSolve && ev.ColdSolves != 1 {
+				t.Fatalf("cold miss's solve span counts %d cold master solves over the wire, want 1: %+v", ev.ColdSolves, ev)
+			}
 		}
 	}
 	if env.Traces[0].ID != traceIDs[1] {

@@ -283,6 +283,11 @@ type Plan struct {
 	LPPivots     int `json:"lpPivots"`
 	LPWarmPivots int `json:"lpWarmPivots,omitempty"`
 	LPColdPivots int `json:"lpColdPivots,omitempty"`
+	// LPColdSolves is how many of the solve's master solves ran cold: 1 on a
+	// healthy cold plan (the first), 0 on a warm delta, more when warm
+	// attempts fell back. It goes to the solve/refine span, not into the
+	// plan's bytes.
+	LPColdSolves int `json:"-"`
 	// Heuristic outcome (only when the request named one). The binomial
 	// heuristic produces a routed schedule, so Tree may be nil even with a
 	// throughput.
@@ -1103,6 +1108,7 @@ func (e *Engine) refine(ent *entry, req PlanRequest, p *platform.Platform, taken
 		Pivots:     plan.LPPivots,
 		WarmPivots: plan.LPWarmPivots,
 		ColdPivots: plan.LPColdPivots,
+		ColdSolves: plan.LPColdSolves,
 	}
 	if rtc.Wall() {
 		rev.DurNs = elapsed.Nanoseconds()
@@ -1222,6 +1228,7 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 		Pivots:     sol.LPIterations,
 		WarmPivots: sol.WarmPivots,
 		ColdPivots: sol.ColdPivots,
+		ColdSolves: sol.ColdSolves,
 		Flows:      sol.MaxFlows,
 	}
 	// The packing reads nothing but the solution; it runs here so the solve
@@ -1261,6 +1268,7 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 		LPPivots:     sol.LPIterations,
 		LPWarmPivots: sol.WarmPivots,
 		LPColdPivots: sol.ColdPivots,
+		LPColdSolves: sol.ColdSolves,
 	}
 	if req.Heuristic != "" {
 		tree, tp, err := buildHeuristic(sp, req.Source, req.Heuristic, sol.EdgeRate, model.OnePortBidirectional)

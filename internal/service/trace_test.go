@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -96,12 +97,23 @@ func TestEngineTraceLifecycle(t *testing.T) {
 	if solve.PackRounds != 0 || solve.PackPivots != 0 {
 		t.Fatalf("trees=0 plan reports a packing on its solve span: %+v", solve)
 	}
+	// A healthy cold plan solves its first master cold and every later round
+	// warm; the count is on the span and stays out of the plan's bytes.
+	if solve.ColdSolves != 1 || first.Plan.LPColdSolves != 1 {
+		t.Fatalf("cold plan's solve span counts %d cold master solves (plan %d), want 1: %+v", solve.ColdSolves, first.Plan.LPColdSolves, solve)
+	}
+	if bytes.Contains(first.JSON, []byte("oldSolves")) {
+		t.Fatalf("cold-solve count leaked into the plan bytes: %s", first.JSON)
+	}
 	wantWarm := []obs.SpanKind{obs.SpanBase, obs.SpanLookup, obs.SpanAdmit, obs.SpanSolve}
 	if got := eventKinds(warm); len(got) != len(wantWarm) || got[0] != obs.SpanBase {
 		t.Fatalf("warm delta span sequence = %v, want %v", got, wantWarm)
 	}
 	if !warm.Events[0].Warm || !warm.Events[3].Warm {
 		t.Fatalf("warm delta did not flag warm session: %+v", warm.Events)
+	}
+	if warm.Events[3].ColdSolves != 0 {
+		t.Fatalf("warm delta re-solve counts %d cold master solves: %+v", warm.Events[3].ColdSolves, warm.Events[3])
 	}
 
 	hits := e.Tracer().Snapshot(obs.OutcomeHit, 0)
@@ -222,7 +234,7 @@ func TestEngineTraceShedAndDegraded(t *testing.T) {
 	if len(refines) != 1 {
 		t.Fatalf("refine traces = %d, want 1", len(refines))
 	}
-	if len(refines[0].Events) != 1 || refines[0].Events[0].Kind != obs.SpanRefine || refines[0].Events[0].Pivots <= 0 {
+	if len(refines[0].Events) != 1 || refines[0].Events[0].Kind != obs.SpanRefine || refines[0].Events[0].Pivots <= 0 || refines[0].Events[0].ColdSolves != 1 {
 		t.Fatalf("refine trace malformed: %+v", refines[0].Events)
 	}
 	if refines[0].Key != deg[0].Key {
