@@ -111,20 +111,26 @@ func (p *Platform) Links() []Link {
 	return out
 }
 
+// checkLink reports why a link cannot join a platform of n nodes: an endpoint
+// out of range, a self loop, or an invalid cost.
+func checkLink(n, from, to int, cost model.AffineCost) error {
+	switch {
+	case from < 0 || from >= n:
+		return fmt.Errorf("%w: from=%d, n=%d", ErrNodeRange, from, n)
+	case to < 0 || to >= n:
+		return fmt.Errorf("%w: to=%d, n=%d", ErrNodeRange, to, n)
+	case from == to:
+		return fmt.Errorf("%w: node %d", ErrSelfLoop, from)
+	case !cost.Valid():
+		return fmt.Errorf("%w: %+v", ErrInvalidCost, cost)
+	}
+	return nil
+}
+
 // AddLink appends a directed link and returns its ID.
 func (p *Platform) AddLink(from, to int, cost model.AffineCost) (int, error) {
-	n := len(p.nodes)
-	if from < 0 || from >= n {
-		return -1, fmt.Errorf("%w: from=%d, n=%d", ErrNodeRange, from, n)
-	}
-	if to < 0 || to >= n {
-		return -1, fmt.Errorf("%w: to=%d, n=%d", ErrNodeRange, to, n)
-	}
-	if from == to {
-		return -1, fmt.Errorf("%w: node %d", ErrSelfLoop, from)
-	}
-	if !cost.Valid() {
-		return -1, fmt.Errorf("%w: %+v", ErrInvalidCost, cost)
+	if err := checkLink(len(p.nodes), from, to, cost); err != nil {
+		return -1, err
 	}
 	id := len(p.links)
 	p.links = append(p.links, Link{From: from, To: to, Cost: cost})

@@ -2,13 +2,20 @@
 // bcast-serve CLI: a long-running façade over the steady-state solver and the
 // tree heuristics that reuses solved work across requests.
 //
-// Every incoming platform is reduced to its canonical content fingerprint
-// (platform.Fingerprint: permutation-invariant, byte-stable across runs).
-// The engine keys an LRU cache of solved plans — and of warm steady.Session
-// handles — on that fingerprint:
+// The engine keeps an LRU cache of solved plans — and of warm steady.Session
+// handles — looked up by exact hash: the SHA-256 of the incoming platform's
+// canonical encoding (platform.CanonicalEncoding, one linear pass) plus the
+// request parameters that change the answer. The permutation-invariant
+// fingerprint (platform.Fingerprint) is computed on a miss only, outside the
+// engine lock, for twin detection — a renumbered copy of a cached platform
+// shares its fingerprint, is counted as a twin miss and solved in its own
+// numbering — and for delta-base routing, delta requests naming their base by
+// fingerprint. So:
 //
 //   - A repeated identical request is answered from the cache with the
-//     byte-identical marshaled plan, without touching the solver.
+//     byte-identical marshaled plan, without touching the solver or running
+//     colour refinement. Over HTTP, /v1/plan reads the body once and decodes
+//     the platform out of it in a single pass (platform.DecodeMember).
 //
 //   - Concurrent identical requests are collapsed into one solve
 //     (singleflight): the first request computes, the others wait on it and

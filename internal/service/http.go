@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -153,7 +154,7 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 	}))
 	mux.Handle("/v1/plan", ins("/v1/plan", func(w http.ResponseWriter, r *http.Request) {
 		var req PlanRequest
-		if !decodePost(w, r, &req) {
+		if !decodePlanPost(w, r, &req) {
 			return
 		}
 		ctx := r.Context()
@@ -316,16 +317,26 @@ func instrument(e *Engine, m *Metrics, logger *slog.Logger, route string, h http
 // client from pinning unbounded memory on the long-running service.
 const maxBodyBytes = 32 << 20
 
-// decodePost enforces the POST method and decodes the JSON body into dst.
-// The body must be exactly one JSON document: trailing content — malformed
-// or otherwise — is rejected with a structured 400 instead of being
-// silently ignored.
-func decodePost(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
+// requirePost answers anything but a POST with a structured 405.
+func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("service: POST only"))
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return true
+}
+
+// decodePost enforces the POST method and decodes the JSON body into dst.
+func decodePost(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
+	return requirePost(w, r) && decodeStrict(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+}
+
+// decodeStrict decodes a request body into dst. The body must be exactly one
+// JSON document with no unknown fields: trailing content — malformed or
+// otherwise — is rejected with a structured 400 instead of being silently
+// ignored.
+func decodeStrict(w http.ResponseWriter, body io.Reader, dst interface{}) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
@@ -335,6 +346,37 @@ func decodePost(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	if err := dec.Decode(&trailing); err != io.EOF {
 		writeError(w, http.StatusBadRequest, errors.New("service: bad request body: trailing data after JSON document"))
 		return false
+	}
+	return true
+}
+
+// decodePlanPost is decodePost for /v1/plan, whose body is nearly all
+// platform and is usually a repeat: the body is read once, the platform is
+// decoded from it in a single pass (platform.DecodeMember), and only the few
+// bytes around it go through the strict decoder. Whatever DecodeMember
+// declines — a delta request, a malformed body — goes through it whole, so
+// the contract and the error texts are decodePost's.
+func decodePlanPost(w http.ResponseWriter, r *http.Request, req *PlanRequest) bool {
+	if !requirePost(w, r) {
+		return false
+	}
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
+		return false
+	}
+	p, rest := platform.DecodeMember(buf.Bytes(), "platform")
+	if p == nil {
+		rest = buf.Bytes()
+	}
+	if !decodeStrict(w, bytes.NewReader(rest), req) {
+		return false
+	}
+	if p != nil {
+		req.Platform = p
 	}
 	return true
 }

@@ -250,6 +250,8 @@ func TestHTTPMalformedJSONStructured400(t *testing.T) {
 		{"unknown field", `{"sauce": 0}`},
 		{"trailing garbage", `{"source": 0} {"more": 1}`},
 		{"trailing junk bytes", `{"source": 0} ???`},
+		{"invalid node cost", `{"platform": {"nodes": [{"send": {"latency": -5, "perUnit": -1}}, {}], "links": [{"from": 0, "to": 1, "cost": {"perUnit": 1}}]}}`},
+		{"negative slice size", `{"platform": {"nodes": [{}, {}], "links": [{"from": 0, "to": 1, "cost": {"perUnit": 1}}], "sliceSize": -2}}`},
 	}
 	for _, tc := range cases {
 		for _, path := range []string{"/v1/plan", "/v1/evaluate", "/v1/churn"} {
@@ -366,5 +368,63 @@ func TestHTTPAbortHandlerPropagates(t *testing.T) {
 		buf.ReadFrom(resp.Body)
 		resp.Body.Close()
 		t.Fatalf("abort was converted into a clean reply: status %d body %q", resp.StatusCode, buf.String())
+	}
+}
+
+// TestDecodePlanPostMatchesStrictDecode holds /v1/plan's single-read decode
+// to the generic strict decoder it bypasses: on every body — platform first,
+// last or absent, oddly cased, repeated or null, next to unknown fields,
+// before trailing data, invalid — both give the same verdict, the same error
+// body and the same request.
+func TestDecodePlanPostMatchesStrictDecode(t *testing.T) {
+	plat, err := json.Marshal(smallPlatform(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := string(plat)
+	bodies := []string{
+		`{"platform":` + p + `,"source":1,"revisedLP":true}`,
+		` { "source" : 1 , "trees" : 2 , "platform" : ` + p + ` } `,
+		`{"PLATFORM":` + p + `,"Source":2}`,
+		`{"platform":` + p + `,"platform":` + p + `}`,
+		`{"platform":` + p + `,"platform":null}`,
+		`{"platform":null,"source":1}`,
+		`{"base":"00","deltas":[{"kind":"scale-link","link":0,"factor":2}],"source":0}`,
+		`{"platform":` + p + `,"sauce":0}`,
+		`{"platform":` + p + `,"deltas":[{"kind":"link-down","link":0,"lnik":1}]}`,
+		`{"platform":` + p + `} {"more":1}`,
+		`{"platform":` + p + `} ???`,
+		`{"platform":` + p + `,"source":"zero"}`,
+		`{"platform":` + p + `,"source":1`,
+		`{"platform":` + strings.Replace(p, `"from":`, `"from":99`, 1) + `}`,
+		`{"platform":{"nodes":[{"send":{"latency":-5}},{}]}}`,
+		`{"platform":{"nodes":[{},{}],"sliceSize":-2}}`,
+		`{"platform":[` + p + `]}`,
+		`{"platform":7}`,
+		`[` + p + `]`,
+		``,
+	}
+	for _, body := range bodies {
+		decode := func(fast bool) (bool, string, string) {
+			rec := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body))
+			var req PlanRequest
+			ok := false
+			if fast {
+				ok = decodePlanPost(rec, r, &req)
+			} else {
+				ok = decodePost(rec, r, &req)
+			}
+			got, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ok, rec.Body.String(), string(got)
+		}
+		ok, errBody, req := decode(true)
+		wantOK, wantErrBody, wantReq := decode(false)
+		if ok != wantOK || errBody != wantErrBody || (ok && req != wantReq) {
+			t.Errorf("body %.60q...:\n  single-read: ok=%v %s %.80s\n  strict:      ok=%v %s %.80s", body, ok, errBody, req, wantOK, wantErrBody, wantReq)
+		}
 	}
 }

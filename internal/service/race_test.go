@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/platform"
@@ -46,6 +47,54 @@ func TestServiceConcurrentIdenticalRequests(t *testing.T) {
 	}
 	if st.Misses != 1 || st.Solves != 1 {
 		t.Errorf("stats = %+v, want exactly 1 miss and 1 solve for identical concurrent requests", st)
+	}
+}
+
+// TestServiceNeverSeenBurstCollapses releases a burst of identical requests
+// for a platform the engine has never seen. Every one of them misses the
+// exact lookup and fingerprints outside the lock; the re-check must let
+// exactly one claim the entry and classify all the others as collapsed onto
+// it. The solve is held until they have, so the counters are exact. Run with
+// -race.
+func TestServiceNeverSeenBurstCollapses(t *testing.T) {
+	const goroutines = 16
+	var collapsed atomic.Int64
+	allCollapsed := make(chan struct{})
+	e := New(Config{Workers: 4, Hooks: &Hooks{
+		OnLookup: func(ev LookupEvent) {
+			if ev.Collapsed && collapsed.Add(1) == goroutines-1 {
+				close(allCollapsed)
+			}
+		},
+		BeforeSolve: func() { <-allCollapsed },
+	}})
+	p := smallPlatform(t, 33)
+
+	start := make(chan struct{})
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			_, errs[g] = e.Plan(PlanRequest{Platform: p, Source: 0})
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+	st := e.Stats()
+	if st.Solves != 1 || st.Misses != 1 || st.Singleflight != goroutines-1 || st.Hits != goroutines-1 || st.CacheEntries != 1 {
+		t.Errorf("stats = %+v, want 1 solve, 1 miss, %d singleflight hits, 1 entry", st, goroutines-1)
+	}
+	if st.Hits+st.Misses != st.Requests || st.Requests != goroutines {
+		t.Errorf("hits (%d) + misses (%d) != requests (%d), want %d", st.Hits, st.Misses, st.Requests, goroutines)
 	}
 }
 

@@ -393,11 +393,9 @@ type Stats struct {
 	QueueDepth    int `json:"queueDepth,omitempty"`
 }
 
-// fpKey routes a lookup: the permutation-invariant platform fingerprint
-// plus every request parameter that changes the answer. Renumbered twins
-// share an fpKey.
-type fpKey struct {
-	fp        platform.Fingerprint
+// planParams are the request parameters that change the answer; both cache
+// indexes carry them next to a platform identity.
+type planParams struct {
 	source    int
 	heuristic string
 	coldLP    bool
@@ -406,12 +404,27 @@ type fpKey struct {
 	trees     int
 }
 
-// cacheKey identifies one cacheable plan exactly: the routing fpKey plus
-// the hash of the platform's exact canonical encoding, which renumbered
-// twins do NOT share — so a cached plan (whose edge rates and trees are
-// expressed in link/node IDs) is never served across a renumbering.
+// cacheKey identifies one cacheable plan, and is all a lookup needs: the hash
+// of the platform's exact canonical encoding plus the plan parameters.
+// Renumbered twins do NOT share it — so a cached plan (whose edge rates and
+// trees are expressed in link/node IDs) is never served across a renumbering
+// — and a repeat request is recognised without computing a fingerprint.
 type cacheKey struct {
-	fpKey
+	exact [32]byte
+	planParams
+}
+
+// fpKey keys the twin/base index: the permutation-invariant fingerprint plus
+// the plan parameters. Renumbered twins share an fpKey. It is computed only
+// once a request has missed on its cacheKey.
+type fpKey struct {
+	fp platform.Fingerprint
+	planParams
+}
+
+// platformID is the pair of identities a Plan reports for its platform.
+type platformID struct {
+	fp    platform.Fingerprint
 	exact [32]byte
 }
 
@@ -424,6 +437,9 @@ func exactHash(p *platform.Platform) [32]byte {
 // pinned to the entry's platform state.
 type entry struct {
 	key cacheKey
+	// fp is the platform's fingerprint, computed when the entry was claimed;
+	// with the key's parameters it is the entry's place in byFP.
+	fp platform.Fingerprint
 
 	ready chan struct{} // closed once plan/err are set
 	// refined is non-nil iff the entry was created by a degraded request:
@@ -451,8 +467,9 @@ type entry struct {
 	sessionP *platform.Platform
 }
 
-// Engine is the concurrent fingerprint-keyed planning engine. It is safe for
-// concurrent use.
+// Engine is the concurrent planning engine: a cache of solved plans looked up
+// by exact platform hash, with fingerprints for twins and delta bases. It is
+// safe for concurrent use.
 type Engine struct {
 	cfg Config
 	sem chan struct{} // bounded worker pool for solver work
@@ -481,8 +498,9 @@ type Engine struct {
 	mu    sync.Mutex
 	lru   *list.List                 // guarded by mu; of *entry, most recently used in front
 	byKey map[cacheKey]*list.Element // guarded by mu
-	// byFP indexes the cached entries by routing key; the slice holds more
-	// than one element only when renumbered twins are cached side by side.
+	// byFP indexes the cached entries by fingerprint, for twin detection and
+	// for resolving a delta request's base; the slice holds more than one
+	// element only when renumbered twins are cached side by side.
 	byFP  map[fpKey][]*list.Element // guarded by mu
 	stats Stats                     // guarded by mu
 }
@@ -512,10 +530,15 @@ func (e *Engine) Drain() { e.bg.Wait() }
 func (e *Engine) insertLocked(ent *entry) *list.Element {
 	el := e.lru.PushFront(ent)
 	e.byKey[ent.key] = el
-	e.byFP[ent.key.fpKey] = append(e.byFP[ent.key.fpKey], el)
+	fk := ent.fpKey()
+	e.byFP[fk] = append(e.byFP[fk], el)
 	e.trimLocked()
 	return el
 }
+
+func (ent *entry) fpKey() fpKey { return fpKey{fp: ent.fp, planParams: ent.key.planParams} }
+
+func (ent *entry) id() platformID { return platformID{fp: ent.fp, exact: ent.key.exact} }
 
 // entryDone reports whether the entry's solve has finished (ready closed).
 func entryDone(ent *entry) bool {
@@ -559,7 +582,8 @@ func (e *Engine) removeLocked(el *list.Element) {
 	ent := el.Value.(*entry)
 	e.lru.Remove(el)
 	delete(e.byKey, ent.key)
-	twins := e.byFP[ent.key.fpKey]
+	fk := ent.fpKey()
+	twins := e.byFP[fk]
 	for i, t := range twins {
 		if t == el {
 			twins = append(twins[:i], twins[i+1:]...)
@@ -567,9 +591,9 @@ func (e *Engine) removeLocked(el *list.Element) {
 		}
 	}
 	if len(twins) == 0 {
-		delete(e.byFP, ent.key.fpKey)
+		delete(e.byFP, fk)
 	} else {
-		e.byFP[ent.key.fpKey] = twins
+		e.byFP[fk] = twins
 	}
 }
 
@@ -768,8 +792,8 @@ func (e *Engine) steadyOptions(req PlanRequest) *steady.Options {
 	return &opts
 }
 
-func (req PlanRequest) fpKey(fp platform.Fingerprint) fpKey {
-	return fpKey{fp: fp, source: req.Source, heuristic: req.Heuristic, coldLP: req.ColdLP, revisedLP: req.RevisedLP, maxIter: req.LPMaxIterations, trees: req.Trees}
+func (req PlanRequest) params() planParams {
+	return planParams{source: req.Source, heuristic: req.Heuristic, coldLP: req.ColdLP, revisedLP: req.RevisedLP, maxIter: req.LPMaxIterations, trees: req.Trees}
 }
 
 // Plan answers one plan request: from the cache when the platform has been
@@ -855,15 +879,27 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 	if p.NumAliveNodes() < 2 {
 		return nil, ErrTooSmall
 	}
-	fp := p.Fingerprint()
-	key := cacheKey{fpKey: req.fpKey(fp), exact: exactHash(p)}
+	key := cacheKey{exact: exactHash(p), planParams: req.params()}
 	if tc != nil {
 		tc.SetIdentity(traceIdentity(key))
 	}
 
 	e.mu.Lock()
 	e.stats.Requests++
-	if el, ok := e.byKey[key]; ok {
+	el, ok := e.byKey[key]
+	var fp platform.Fingerprint
+	if !ok {
+		// Not a repeat. Only now is the fingerprint worth its colour
+		// refinement — it says whether the platform is a renumbered twin of a
+		// cached one and files the new entry for delta requests to find. It
+		// is computed outside the lock, so an identical request may claim the
+		// key meanwhile: look again.
+		e.mu.Unlock()
+		fp = p.Fingerprint()
+		e.mu.Lock()
+		el, ok = e.byKey[key]
+	}
+	if ok {
 		ent := el.Value.(*entry)
 		e.lru.MoveToFront(el)
 		// Classify the hit while still under the lock: an entry whose ready
@@ -933,15 +969,15 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 	// requests wait on this solve instead of duplicating it. A renumbered
 	// twin of a cached platform lands here too (same fpKey, different exact
 	// key) and is cached independently — its IDs live in another numbering.
-	twin := len(e.byFP[key.fpKey]) > 0
+	ent := &entry{key: key, fp: fp, ready: make(chan struct{})}
+	twin := len(e.byFP[ent.fpKey()]) > 0
 	if twin {
 		e.stats.TwinMisses++
 	}
-	ent := &entry{key: key, ready: make(chan struct{})}
 	if req.Degraded {
 		ent.refined = make(chan struct{})
 	}
-	el := e.insertLocked(ent)
+	el = e.insertLocked(ent)
 	e.stats.Misses++
 	e.hook(LookupEvent{Miss: true, Twin: twin})
 	e.mu.Unlock()
@@ -951,7 +987,7 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 		return e.planDegraded(req, p, ent, el, taken, tc)
 	}
 
-	plan, planJSON, sess, sp, err := e.solve(ctx, req, p, taken, tc)
+	plan, planJSON, sess, sp, err := e.solve(ctx, req, p, ent.id(), taken, tc)
 	e.mu.Lock()
 	if err != nil {
 		if errors.Is(err, ErrCanceled) {
@@ -1007,7 +1043,7 @@ func (e *Engine) abandonHit(ctx context.Context) error {
 // plain blocking way (no shedding, no deadline — the client already has its
 // answer).
 func (e *Engine) planDegraded(req PlanRequest, p *platform.Platform, ent *entry, el *list.Element, taken *takenSession, tc *obs.Trace) (*PlanResult, error) {
-	plan, planJSON, err := e.degradedPlan(req, p)
+	plan, planJSON, err := e.degradedPlan(req, p, ent.id())
 	e.mu.Lock()
 	if err != nil {
 		ent.err = err
@@ -1045,16 +1081,15 @@ func (e *Engine) planDegraded(req PlanRequest, p *platform.Platform, ent *entry,
 // It always uses the engine's configured degraded heuristic — the request's
 // own Heuristic (honored by the refinement) may be LP-based, which would pay
 // the very solve degraded mode exists to avoid.
-func (e *Engine) degradedPlan(req PlanRequest, p *platform.Platform) (*Plan, []byte, error) {
+func (e *Engine) degradedPlan(req PlanRequest, p *platform.Platform, id platformID) (*Plan, []byte, error) {
 	name := e.cfg.degradedHeuristic()
 	tree, tp, err := buildHeuristic(p, req.Source, name, nil, model.OnePortBidirectional)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: degraded plan: %w", err)
 	}
-	exact := exactHash(p)
 	plan := &Plan{
-		Fingerprint:         p.Fingerprint().String(),
-		ExactKey:            hex.EncodeToString(exact[:]),
+		Fingerprint:         id.fp.String(),
+		ExactKey:            hex.EncodeToString(id.exact[:]),
 		Source:              req.Source,
 		Nodes:               p.NumNodes(),
 		Links:               p.NumLinks(),
@@ -1083,7 +1118,7 @@ func (e *Engine) refine(ent *entry, req PlanRequest, p *platform.Platform, taken
 	rtc := e.cfg.Tracer.Begin("")
 	rtc.SetIdentity(traceIdentity(ent.key))
 	start := time.Now()
-	plan, planJSON, sess, sp, err := e.solveBackground(req, p, taken)
+	plan, planJSON, sess, sp, err := e.solveBackground(req, p, ent.id(), taken)
 	elapsed := time.Since(start)
 	e.latMu.Lock()
 	e.refineNs.Record(elapsed.Nanoseconds())
@@ -1139,7 +1174,7 @@ type takenSession struct {
 // request-path cold miss: admission-controlled lane acquisition (which may
 // shed), the BeforeSolve hook, then the solver itself under the request
 // context.
-func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platform, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
+func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platform, id platformID, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
 	waitStart := time.Now()
 	release, err := e.acquire(ctx)
 	wait := time.Since(waitStart)
@@ -1166,23 +1201,24 @@ func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platfor
 	if e.cfg.Hooks != nil && e.cfg.Hooks.BeforeSolve != nil {
 		e.cfg.Hooks.BeforeSolve()
 	}
-	return e.runSolve(ctx, req, p, taken, tc)
+	return e.runSolve(ctx, req, p, id, taken, tc)
 }
 
 // solveBackground runs a degraded-mode refinement solve: plain blocking lane
 // acquisition (no queue bound, no shedding, no hooks) and no deadline — the
 // client already received its degraded answer.
-func (e *Engine) solveBackground(req PlanRequest, p *platform.Platform, taken *takenSession) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
+func (e *Engine) solveBackground(req PlanRequest, p *platform.Platform, id platformID, taken *takenSession) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
-	return e.runSolve(context.Background(), req, p, taken, nil)
+	return e.runSolve(context.Background(), req, p, id, taken, nil)
 }
 
 // runSolve runs the steady-state solver (and the optional heuristic) on its
-// own clone of the platform; the caller holds a solve lane. It returns the
-// plan, its canonical bytes, and a session positioned at the solved state
-// for future delta requests.
-func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Platform, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
+// own clone of the platform; the caller holds a solve lane. id is the
+// platform's identity as the lookup computed it (the session platform is p or
+// a clone of it). It returns the plan, its canonical bytes, and a session
+// positioned at the solved state for future delta requests.
+func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Platform, id platformID, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
 	var sess *steady.Session
 	var sp *platform.Platform
 	if taken != nil {
@@ -1253,10 +1289,9 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 		return nil, nil, nil, nil, fmt.Errorf("service: tree packing: %w", packErr)
 	}
 
-	exact := exactHash(sp)
 	plan := &Plan{
-		Fingerprint:  sp.Fingerprint().String(),
-		ExactKey:     hex.EncodeToString(exact[:]),
+		Fingerprint:  id.fp.String(),
+		ExactKey:     hex.EncodeToString(id.exact[:]),
 		Source:       req.Source,
 		Nodes:        sp.NumNodes(),
 		Links:        sp.NumLinks(),
@@ -1326,7 +1361,7 @@ func (e *Engine) planFromBase(ctx context.Context, req PlanRequest, tc *obs.Trac
 	// one with BaseExact — guessing would mutate the wrong platform.
 	e.mu.Lock()
 	var el *list.Element
-	cands := e.byFP[req.fpKey(fp)]
+	cands := e.byFP[fpKey{fp: fp, planParams: req.params()}]
 	switch {
 	case wantExact != nil:
 		for _, c := range cands {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"sort"
@@ -393,43 +394,75 @@ func permutedTwin(p *platform.Platform) *platform.Platform {
 func TestPlanTwinMissIsNotServedWrongPlan(t *testing.T) {
 	// A renumbered twin shares the fingerprint but not the content: the
 	// cached plan's edge rates are in the wrong ID space, so the engine must
-	// solve it fresh.
-	e := New(Config{})
+	// solve it fresh — whichever of the two numberings it saw first.
 	p := smallPlatform(t, 9)
 	twin := permutedTwin(p)
 	if p.Fingerprint() != twin.Fingerprint() {
 		t.Fatal("twin does not share the fingerprint (test setup)")
 	}
-	if _, err := e.Plan(PlanRequest{Platform: p, Source: 0}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Plan(PlanRequest{Platform: twin, Source: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Fatal("twin request served from cache despite different content")
-	}
-	want, err := steady.Solve(twin.Clone(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Plan.Throughput-want.Throughput) > 1e-9*math.Max(1, want.Throughput) {
-		t.Errorf("twin plan %v != direct solve %v", res.Plan.Throughput, want.Throughput)
-	}
-	if st := e.Stats(); st.TwinMisses != 1 {
-		t.Errorf("stats = %+v, want 1 twin miss", st)
-	}
-	// Twins cache side by side under their own exact keys: repeating either
-	// request now hits its own entry.
-	for i, q := range []*platform.Platform{p, twin} {
-		res, err := e.Plan(PlanRequest{Platform: q, Source: 0})
+	for _, order := range [][2]*platform.Platform{{p, twin}, {twin, p}} {
+		e := New(Config{})
+		first, err := e.Plan(PlanRequest{Platform: order[0], Source: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Cached {
-			t.Errorf("repeat of twin %d missed the cache", i)
+		res, err := e.Plan(PlanRequest{Platform: order[1], Source: 0})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.Cached {
+			t.Fatal("twin request served from cache despite different content")
+		}
+		if res.Plan.Fingerprint != first.Plan.Fingerprint || res.Plan.ExactKey == first.Plan.ExactKey {
+			t.Errorf("twin plan identity (%s, %s) against (%s, %s): want the fingerprint shared, the exact key not",
+				res.Plan.Fingerprint, res.Plan.ExactKey, first.Plan.Fingerprint, first.Plan.ExactKey)
+		}
+		want, err := steady.Solve(order[1].Clone(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.Plan.Throughput-want.Throughput) > 1e-9*math.Max(1, want.Throughput) {
+			t.Errorf("twin plan %v != direct solve %v", res.Plan.Throughput, want.Throughput)
+		}
+		if st := e.Stats(); st.TwinMisses != 1 || st.Misses != 2 || st.CacheEntries != 2 {
+			t.Errorf("stats = %+v, want 2 misses of which 1 twin miss, in 2 entries", st)
+		}
+		// Twins cache side by side under their own exact keys: repeating
+		// either request now hits its own entry.
+		for i, q := range order {
+			res, err := e.Plan(PlanRequest{Platform: q, Source: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Cached {
+				t.Errorf("repeat of twin %d missed the cache", i)
+			}
+		}
+		if st := e.Stats(); st.TwinMisses != 1 || st.Hits != 2 {
+			t.Errorf("stats after the repeats = %+v, want 2 hits and still 1 twin miss", st)
+		}
+	}
+}
+
+// TestPlanExactHitSkipsFingerprint is the observable form of "a repeat never
+// runs colour refinement": an exact hit allocates the canonical encoding, the
+// result and its copy of the plan bytes; a fingerprint alone allocates six
+// buffers more, which the bound leaves no room for.
+func TestPlanExactHitSkipsFingerprint(t *testing.T) {
+	e := New(Config{})
+	req := PlanRequest{Platform: smallPlatform(t, 13), Source: 0}
+	if _, err := e.Plan(req); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		res, err := e.PlanContext(ctx, req)
+		if err != nil || !res.Cached {
+			t.Fatalf("repeat request: cached=%v err=%v", res != nil && res.Cached, err)
+		}
+	})
+	if allocs > 5 {
+		t.Errorf("an exact hit made %.0f allocations, want at most 5", allocs)
 	}
 }
 
