@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet staticcheck check bench-lp bench-smoke
+.PHONY: all build test race lint vet staticcheck check bench-smoke
 
 all: build test lint
 
@@ -30,12 +30,6 @@ vet:
 staticcheck:
 	@command -v staticcheck >/dev/null || { echo "staticcheck not installed: go install honnef.co/go/tools/cmd/staticcheck@2024.1.1"; exit 1; }
 	staticcheck ./...
-
-# bench-lp mirrors the CI bench job's LP report: revised simplex vs dense
-# incremental master on the size ladder, with the >=5x LP-wall contract
-# enforced at n >= 512. Writes BENCH_lp.json in the repo root.
-bench-lp:
-	$(GO) run ./cmd/bcast-lpbench -sizes 96,256,512,1024 -seed 7 -min-speedup 5 -speedup-from 512 -pretty -o BENCH_lp.json
 
 # bench-smoke mirrors the CI test job's benchmark step: bench/ is its own
 # module, so the root `go test ./...` does not compile its adapter; this

@@ -140,13 +140,30 @@ func benchPlatform(b *testing.B, nodes int, density float64) *Platform {
 // BenchmarkSteadySolve times the cutting-plane MTP reference solve on the
 // hierarchical registry families (where the master accumulates the most
 // cuts) at their largest default sizes, plus two flatter families for
-// contrast, in the default warm-started mode and with the cold-start path
-// forced, then on the LP-bound cells of the repo benchmark's cold-lp
-// workload under the revised master. It reports simplex pivot and round
-// counts (and, on the LP-bound cells, cold master solves) per solve; the CI
-// perf job runs it with -benchtime=1x and archives the output
+// contrast, then on the LP-bound cells of the repo benchmark's cold-lp
+// workload. It reports simplex pivots, rounds and cold master solves per
+// solve; the CI perf job runs it with -benchtime=1x and archives the output
 // (BENCH_steady.txt) to track the solver's trajectory.
 func BenchmarkSteadySolve(b *testing.B) {
+	// cold-solves/op is 1 when every round after the first re-solves warm;
+	// anything above it is a warm re-solve that fell back.
+	run := func(name string, p *Platform) {
+		b.Run(name, func(b *testing.B) {
+			var pivots, rounds, coldSolves int
+			for i := 0; i < b.N; i++ {
+				sol, err := OptimalThroughput(p, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pivots += sol.LPIterations
+				rounds += sol.Rounds
+				coldSolves += sol.ColdSolves
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(coldSolves)/float64(b.N), "cold-solves/op")
+		})
+	}
 	for _, c := range []struct {
 		scenario string
 		size     int
@@ -160,35 +177,13 @@ func BenchmarkSteadySolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name string
-			opts *OptimalOptions
-		}{
-			{"warm", nil},
-			{"cold", &OptimalOptions{ColdStart: true}},
-		} {
-			b.Run(fmt.Sprintf("%s/n=%d/%s", c.scenario, c.size, mode.name), func(b *testing.B) {
-				var pivots, rounds int
-				for i := 0; i < b.N; i++ {
-					sol, err := OptimalThroughputWith(p, 0, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pivots += sol.LPIterations
-					rounds += sol.Rounds
-				}
-				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-				b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-			})
-		}
+		run(fmt.Sprintf("%s/n=%d", c.scenario, c.size), p)
 	}
 
 	// The LP-bound cells: the nine platforms of the repo benchmark's cold-lp
 	// workload (bench/workloads.go: pool seed 7, instance-derived seeds) and
-	// grid:256, on the revised master. cold-solves/op is 1 when every round
-	// after the first re-solves warm; anything above it is a warm re-solve
-	// that fell back. An LP change shows here as a committed-shape
-	// before/after without the benchmark driver.
+	// grid:256. An LP change shows here as a committed-shape before/after
+	// without the benchmark driver.
 	for _, c := range []struct {
 		scenario   string
 		size, inst int // inst < 0: the plain registry platform at seed 7
@@ -210,21 +205,7 @@ func BenchmarkSteadySolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run("cold-lp/"+name, func(b *testing.B) {
-			var pivots, rounds, coldSolves int
-			for i := 0; i < b.N; i++ {
-				sol, err := OptimalThroughputWith(p, 0, &OptimalOptions{Revised: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pivots += sol.LPIterations
-				rounds += sol.Rounds
-				coldSolves += sol.ColdSolves
-			}
-			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-			b.ReportMetric(float64(coldSolves)/float64(b.N), "cold-solves/op")
-		})
+		run("cold-lp/"+name, p)
 	}
 }
 

@@ -99,8 +99,7 @@ type RoutingBuilder = heuristics.RoutingBuilder
 type OptimalSolution = steady.Solution
 
 // OptimalOptions tunes the steady-state MTP solver: cutting-plane round and
-// pivot budgets, termination tolerances, and the warm-started vs cold-start
-// master LP mode.
+// pivot budgets and termination tolerances.
 type OptimalOptions = steady.Options
 
 // Tree-packing types: the primal decomposition of the optimal edge rates

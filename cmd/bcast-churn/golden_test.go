@@ -21,7 +21,7 @@ func goldenChurn(t *testing.T, golden, scenario string, size int, seed int64, ev
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "churn.json")
 	err := run(scenario, size, seed, 0, events, profile, broadcast.LPGrowTree, "one-port",
-		false, false, false, false, out, true, true)
+		false, false, out, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

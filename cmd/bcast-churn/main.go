@@ -50,8 +50,6 @@ func main() {
 		heuristic   = flag.String("heuristic", broadcast.LPGrowTree, "tree heuristic for the initial build and the rebuild policy")
 		modelName   = flag.String("model", "one-port", "evaluation port model: one-port | one-port-uni | multi-port")
 		coldResolve = flag.Bool("cold-resolve", false, "re-solve the optimum from scratch at every event (oracle for the warm session)")
-		coldLP      = flag.Bool("cold-lp", false, "disable warm starts inside each master LP solve as well")
-		revisedLP   = flag.Bool("revised-lp", false, "solve the master LPs with the revised simplex (maintained LU basis)")
 		timings     = flag.Bool("timings", false, "record wall-clock timings (makes the JSON non-deterministic)")
 		out         = flag.String("o", "", "write the JSON report to this file instead of stdout")
 		pretty      = flag.Bool("pretty", false, "indent the JSON output")
@@ -69,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 	if err := run(*scenario, *size, *seed, *source, *events, *profile, *heuristic, *modelName,
-		*coldResolve, *coldLP, *revisedLP, *timings, *out, *pretty, *quiet); err != nil {
+		*coldResolve, *timings, *out, *pretty, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "bcast-churn:", err)
 		os.Exit(1)
 	}
@@ -99,7 +97,7 @@ func listAll() {
 }
 
 func run(scenario string, size int, seed int64, source, events int, profileName, heuristic, modelName string,
-	coldResolve, coldLP, revisedLP, timings bool, out string, pretty, quiet bool) error {
+	coldResolve, timings bool, out string, pretty, quiet bool) error {
 	s, err := broadcast.ScenarioByName(scenario)
 	if err != nil {
 		return err
@@ -148,9 +146,6 @@ func run(scenario string, size int, seed int64, source, events int, profileName,
 		Model:         evalModel,
 		ColdResolve:   coldResolve,
 		RecordTimings: timings,
-	}
-	if coldLP || revisedLP {
-		cfg.Steady = &broadcast.OptimalOptions{ColdStart: coldLP, Revised: revisedLP}
 	}
 	report, err := broadcast.RunChurn(p, source, trace, cfg)
 	if err != nil {

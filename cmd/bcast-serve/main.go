@@ -68,8 +68,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "maximum concurrent solves (0 = all CPUs)")
 		queue       = flag.Int("queue", -1, "admission queue depth beyond the solve lanes; above it cold requests are shed with 429 (-1 = 4x workers, 0 = unbounded, never shed)")
 		deadline    = flag.Duration("deadline", 2*time.Minute, "default solve deadline per request, overridable per request via deadlineMs (0 = none)")
-		coldLP      = flag.Bool("cold-lp", false, "disable warm starts inside the master LP solves")
-		revisedLP   = flag.Bool("revised-lp", false, "solve the master LPs with the revised simplex (maintained LU basis)")
 		traceBuffer = flag.Int("trace-buffer", 512, "request traces retained for GET /v1/trace (0 disables tracing)")
 		pprofAddr   = flag.String("pprof", "", "listen address for net/http/pprof (empty = profiling disabled); keep it on localhost")
 		quiet       = flag.Bool("quiet", false, "disable structured request logging (panic logs are kept)")
@@ -90,9 +88,6 @@ func main() {
 		Workers:         *workers,
 		QueueDepth:      depth,
 		DefaultDeadline: *deadline,
-	}
-	if *coldLP || *revisedLP {
-		cfg.Steady = &broadcast.OptimalOptions{ColdStart: *coldLP, Revised: *revisedLP}
 	}
 	if *traceBuffer > 0 {
 		// The server traces in WallClock mode: per-process trace IDs minted

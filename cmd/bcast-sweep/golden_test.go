@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 func goldenSweep(t *testing.T, golden string, scenarios, sizes, heuristics string, reps int, seed int64, churn bool, packTrees int) {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "sweep.json")
-	err := run(scenarios, sizes, heuristics, reps, seed, 0, "one-port", 2, false, false, packTrees,
+	err := run(scenarios, sizes, heuristics, reps, seed, 0, "one-port", 2, packTrees,
 		churn, 6, "", "", false, out, true, true)
 	if err != nil {
 		t.Fatal(err)

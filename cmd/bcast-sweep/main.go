@@ -34,8 +34,6 @@ func main() {
 		source       = flag.Int("source", 0, "broadcast source processor")
 		modelName    = flag.String("model", "one-port", "evaluation port model: one-port | one-port-uni | multi-port")
 		workers      = flag.Int("workers", 0, "number of parallel workers (0 = all CPUs)")
-		coldLP       = flag.Bool("cold-lp", false, "re-solve the steady-state master LP from scratch every cutting-plane round (A/B oracle for the warm-started default)")
-		revisedLP    = flag.Bool("revised-lp", false, "solve the steady-state master LPs with the revised simplex (maintained LU basis; recommended for sizes >= 256)")
 		packTrees    = flag.Int("pack", 0, "decompose the optimal edge rates into a weighted packing of at most this many broadcast trees (0 = off); adds the packed throughput, tree count and k-tree vs single-tree gain to every run")
 		churn        = flag.Bool("churn", false, "also play every platform through its family's churn trace (keep/repair/rebuild vs re-solved optimum)")
 		churnEvents  = flag.Int("churn-events", 0, "churn-trace length (0 = per-family defaults; see -list)")
@@ -58,7 +56,7 @@ func main() {
 			}
 			large := ""
 			if len(s.LargeSizes) > 0 {
-				large = fmt.Sprintf(", large sizes %v (use -revised-lp)", s.LargeSizes)
+				large = fmt.Sprintf(", large sizes %v", s.LargeSizes)
 			}
 			fmt.Printf("%-20s %s (min size %d, default sizes %v%s; churn %s, %d events)\n",
 				s.Name, s.Description, s.MinSize, s.DefaultSizes, large, s.EffectiveChurnProfile(), s.EffectiveTraceEvents())
@@ -75,22 +73,20 @@ func main() {
 		return
 	}
 
-	if err := run(*scenarioList, *sizeList, *heurList, *reps, *seed, *source, *modelName, *workers, *coldLP, *revisedLP, *packTrees,
+	if err := run(*scenarioList, *sizeList, *heurList, *reps, *seed, *source, *modelName, *workers, *packTrees,
 		*churn, *churnEvents, *churnProfile, *churnHeur, *timings, *out, *pretty, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "bcast-sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scenarioList, sizeList, heurList string, reps int, seed int64, source int, modelName string, workers int, coldLP, revisedLP bool, packTrees int,
+func run(scenarioList, sizeList, heurList string, reps int, seed int64, source int, modelName string, workers int, packTrees int,
 	churn bool, churnEvents int, churnProfile, churnHeur string, timings bool, out string, pretty, quiet bool) error {
 	cfg := broadcast.SweepConfig{
 		Repetitions:    reps,
 		Seed:           seed,
 		Source:         source,
 		Workers:        workers,
-		ColdStartLP:    coldLP,
-		RevisedLP:      revisedLP,
 		PackTrees:      packTrees,
 		Churn:          churn,
 		ChurnEvents:    churnEvents,

@@ -45,13 +45,13 @@ func TestSolveContextNilAndBackground(t *testing.T) {
 	}
 }
 
-// TestIncrementalCanceledThenResolves cancels a warm re-solve and verifies
-// the handle recovers: the canceled attempt must not count as a warm failure
-// nor leave a mid-pivot tableau behind, and the next (uncanceled) Solve must
-// match a cold differential oracle.
-func TestIncrementalCanceledThenResolves(t *testing.T) {
-	inc := NewIncremental(cancelProblem(), nil)
-	first, err := inc.Solve()
+// TestRevisedCanceledThenResolves cancels a warm re-solve and verifies the
+// handle recovers: the canceled attempt must not leave a mid-pivot basis
+// behind, and the next (uncanceled) Solve must match a cold dense oracle.
+func TestRevisedCanceledThenResolves(t *testing.T) {
+	p := cancelProblem()
+	rv := NewRevised(p, nil)
+	first, err := rv.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,25 +60,25 @@ func TestIncrementalCanceledThenResolves(t *testing.T) {
 	}
 
 	// A cutting row that shaves the optimum, solved under a dead context.
-	inc.AddConstraint([]float64{1, 1, 1}, LE, first.Objective*0.9)
+	rv.AddConstraint([]float64{1, 1, 1}, LE, first.Objective*0.9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := inc.SolveContext(ctx); !errors.Is(err, ErrCanceled) {
+	if _, err := rv.SolveContext(ctx); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled SolveContext = %v, want ErrCanceled", err)
 	}
 
-	sol, err := inc.Solve()
+	sol, err := rv.Solve()
 	if err != nil {
 		t.Fatalf("re-solve after cancellation: %v", err)
 	}
-	oracle, err := Solve(inc.Problem(), nil)
+	oracle, err := Solve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != Optimal || math.Abs(sol.Objective-oracle.Objective) > 1e-9 {
 		t.Fatalf("post-cancel solve %v/%v, oracle %v", sol.Status, sol.Objective, oracle.Objective)
 	}
-	if inc.Stats().ColdSolves < 2 {
-		t.Errorf("stats %+v: canceled tableau should have forced a cold re-solve", inc.Stats())
+	if rv.Stats().ColdSolves < 2 {
+		t.Errorf("stats %+v: the canceled basis should have forced a cold re-solve", rv.Stats())
 	}
 }

@@ -168,9 +168,9 @@ func TestRevisedDegenerateWarmIsExact(t *testing.T) {
 // TestRevisedWarmFailureCostsOneColdSolve pins what a failed warm attempt
 // costs now that the handle has no warm-disable latch: exactly one cold
 // re-solve, and the next solve warm-starts again — however many attempts have
-// failed before. (Incremental keeps its latch; with the dual phase perturbed,
-// no registry or benchmark master makes Revised fail a warm attempt at all,
-// so the failure is forced here by handing warmSolve a singular basis.)
+// failed before. (With the dual phase perturbed, no registry or benchmark
+// master makes Revised fail a warm attempt at all, so the failure is forced
+// here by handing warmSolve a singular basis.)
 func TestRevisedWarmFailureCostsOneColdSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := randomMasterLP(rng, 10, 8)

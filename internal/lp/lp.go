@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Relation is the direction of a linear constraint.
@@ -167,12 +168,12 @@ type Solution struct {
 	// Dual holds the optimal dual values (shadow prices) of the constraints,
 	// one per AddConstraint/AddSparseConstraint call in order, with respect to
 	// each constraint as given. Cold solves that reached Optimal fill it —
-	// Solve, and the first or a fallback solve of a handle; it is nil on any
-	// other status and on warm re-solves, which leave the duals to be asked
-	// for: Revised.Duals computes them from the warm basis on request
-	// (Incremental rewrites rows and cannot). For a maximization problem the
-	// dual of a binding LE row is >= 0 — the objective gain per unit of slack
-	// added to that row's right-hand side — and that of a binding GE row <= 0.
+	// Solve, and the first or a fallback solve of a Revised handle; it is nil
+	// on any other status and on warm re-solves, which leave the duals to be
+	// asked for: Revised.Duals computes them from the warm basis on request.
+	// For a maximization problem the dual of a binding LE row is >= 0 — the
+	// objective gain per unit of slack added to that row's right-hand side —
+	// and that of a binding GE row <= 0.
 	Dual []float64
 }
 
@@ -195,6 +196,13 @@ type Options struct {
 // ErrBadProblem is returned for structurally invalid problems.
 var ErrBadProblem = errors.New("lp: invalid problem")
 
+// ErrNotCertified is returned by the dense solver when the point its final
+// tableau describes violates the problem's own constraints: on massively
+// degenerate problems the dense ratio test can pivot on round-off and end
+// "optimal" far outside the feasible region. Such a point is reported as
+// this error, never as a Solution.
+var ErrNotCertified = errors.New("lp: dense simplex ended on a point that violates its constraints")
+
 // ErrCanceled is returned when a solve context is canceled before the
 // simplex reaches a verdict. Every layer above the solver (steady sessions,
 // the planning service) wraps — never replaces — this sentinel, so
@@ -207,18 +215,10 @@ var ErrCanceled = errors.New("solve canceled")
 // pivot, fine enough that cancellation latency is a handful of pivots.
 const cancelCheckInterval = 64
 
-// Solve solves the problem with the two-phase primal simplex method.
+// Solve solves the problem with the two-phase primal simplex method on a
+// dense tableau.
 func Solve(p *Problem, opts *Options) (*Solution, error) {
 	return SolveContext(context.Background(), p, opts)
-}
-
-// SolveContext is Solve with cooperative cancellation: the pivot loops check
-// ctx every cancelCheckInterval pivots and abandon the solve with an error
-// wrapping ErrCanceled once the context is done. A nil ctx is treated as
-// context.Background().
-func SolveContext(ctx context.Context, p *Problem, opts *Options) (*Solution, error) {
-	sol, _, err := solveWithTableau(ctx, p, opts)
-	return sol, err
 }
 
 // canceledErr builds the error for an abandoned solve, preserving the
@@ -227,21 +227,13 @@ func canceledErr(ctx context.Context) error {
 	return fmt.Errorf("lp: %w: %v", ErrCanceled, ctx.Err())
 }
 
-// maxIterations resolves the pivot budget for a tableau of the given size.
-func maxIterations(opts *Options, t *tableau) int {
-	if opts != nil && opts.MaxIterations > 0 {
-		return opts.MaxIterations
-	}
-	return 50 * (t.rows + t.cols)
-}
-
-// solveWithTableau is Solve, additionally returning the final tableau so the
-// incremental solver can keep pivoting on it. The tableau is nil when the
-// problem was decided without building one (no constraints) or when the
-// solve was canceled (a mid-pivot basis must not be reused).
-func solveWithTableau(ctx context.Context, p *Problem, opts *Options) (*Solution, *tableau, error) {
+// SolveContext is Solve with cooperative cancellation: the pivot loops check
+// ctx every cancelCheckInterval pivots and abandon the solve with an error
+// wrapping ErrCanceled once the context is done. A nil ctx is treated as
+// context.Background().
+func SolveContext(ctx context.Context, p *Problem, opts *Options) (*Solution, error) {
 	if p == nil || p.numVars == 0 {
-		return nil, nil, ErrBadProblem
+		return nil, ErrBadProblem
 	}
 	tol := 1e-9
 	if opts != nil && opts.Tolerance > 0 {
@@ -254,14 +246,17 @@ func solveWithTableau(ctx context.Context, p *Problem, opts *Options) (*Solution
 		// non-positive, unbounded otherwise.
 		for _, c := range p.objective {
 			if c > tol {
-				return &Solution{Status: Unbounded, X: make([]float64, p.numVars), Phase: 2}, nil, nil
+				return &Solution{Status: Unbounded, X: make([]float64, p.numVars), Phase: 2}, nil
 			}
 		}
-		return &Solution{Status: Optimal, Objective: 0, X: make([]float64, p.numVars), Phase: 2, Feasible: true, Dual: []float64{}}, nil, nil
+		return &Solution{Status: Optimal, Objective: 0, X: make([]float64, p.numVars), Phase: 2, Feasible: true, Dual: []float64{}}, nil
 	}
 
 	t := newTableau(p, tol)
-	maxIter := maxIterations(opts, t)
+	maxIter := 50 * (t.rows + t.cols)
+	if opts != nil && opts.MaxIterations > 0 {
+		maxIter = opts.MaxIterations
+	}
 
 	sol := &Solution{X: make([]float64, p.numVars)}
 
@@ -275,20 +270,20 @@ func solveWithTableau(ctx context.Context, p *Problem, opts *Options) (*Solution
 		t.setCostRow(phase1)
 		status := t.iterate(ctx, maxIter, &sol.Iterations, false)
 		if status == Canceled {
-			return nil, nil, canceledErr(ctx)
+			return nil, canceledErr(ctx)
 		}
 		if status == IterationLimit {
 			// No feasible basis was reached: X stays all-zero and is NOT a
 			// feasible point. Callers must check Phase (or Feasible) before
 			// consuming X.
 			sol.Status = IterationLimit
-			return sol, t, nil
+			return sol, nil
 		}
 		// The phase-1 optimum is -(sum of artificials); a strictly negative
 		// value means some artificial variable cannot be driven to zero.
 		if t.objectiveValue() < -1e-7 {
 			sol.Status = Infeasible
-			return sol, t, nil
+			return sol, nil
 		}
 		t.forbidArtificials()
 	}
@@ -300,21 +295,52 @@ func solveWithTableau(ctx context.Context, p *Problem, opts *Options) (*Solution
 	t.setCostRow(phase2)
 	status := t.iterate(ctx, maxIter, &sol.Iterations, true)
 	if status == Canceled {
-		return nil, nil, canceledErr(ctx)
+		return nil, canceledErr(ctx)
 	}
 	sol.Status = status
 	if status == Unbounded {
-		return sol, t, nil
+		return sol, nil
 	}
-	// Optimal or phase-2 iteration limit: the basis is primal feasible
-	// either way, so X is a usable point.
+	// Optimal or phase-2 iteration limit: primal pivots keep the basis
+	// feasible in exact arithmetic, so X should be a usable point — which is
+	// checked against the problem, not taken from the tableau's word.
 	t.extract(sol.X)
+	if err := p.certify(sol.X); err != nil {
+		return nil, err
+	}
 	sol.Objective = dot(p.objective, sol.X)
 	sol.Feasible = true
 	if status == Optimal {
 		sol.Dual = t.duals()
 	}
-	return sol, t, nil
+	return sol, nil
+}
+
+// certifyTol is the relative tolerance of certify.
+const certifyTol = 1e-6
+
+// certify checks x against the problem as given — x >= 0 and every constraint
+// row — to certifyTol relative to the magnitude of the row's terms, and
+// reports the first violation as an error wrapping ErrNotCertified.
+func (p *Problem) certify(x []float64) error {
+	for j, v := range x {
+		if v < -certifyTol {
+			return fmt.Errorf("%w: x[%d] = %g", ErrNotCertified, j, v)
+		}
+	}
+	for i, c := range p.constraints {
+		var lhs, scale float64
+		for j, a := range c.coeffs {
+			lhs += a * x[j]
+			scale += math.Abs(a * x[j])
+		}
+		slack := c.rhs - lhs // >= 0 satisfies LE, <= 0 satisfies GE
+		tol := certifyTol * math.Max(1, math.Max(math.Abs(c.rhs), scale))
+		if (c.rel != GE && slack < -tol) || (c.rel != LE && slack > tol) {
+			return fmt.Errorf("%w: constraint %d: %g %v %g", ErrNotCertified, i, lhs, c.rel, c.rhs)
+		}
+	}
+	return nil
 }
 
 // Minimize converts a minimization objective into the maximization form

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -463,6 +464,35 @@ func TestRandomFeasibleLPsAreSolvedConsistently(t *testing.T) {
 			if val > sol.Objective+1e-6 {
 				t.Fatalf("trial %d: random feasible point beats the optimum (%v > %v)", trial, val, sol.Objective)
 			}
+		}
+	}
+}
+
+// TestCertifyRejectsViolatingPoints pins the dense solver's fence on points
+// chosen by hand: a point is accepted when it satisfies x >= 0 and every row
+// to 1e-6 relative, and rejected with ErrNotCertified otherwise.
+func TestCertifyRejectsViolatingPoints(t *testing.T) {
+	p := NewProblem(2)
+	p.AddConstraint([]float64{1, 1}, LE, 4)
+	p.AddConstraint([]float64{1, -1}, GE, -1)
+	p.AddConstraint([]float64{1e6, 0}, EQ, 2e6)
+	for _, tc := range []struct {
+		x  []float64
+		ok bool
+	}{
+		{[]float64{2, 2}, true},
+		{[]float64{2 + 1e-7, 2}, true}, // inside the relative tolerance of every row
+		{[]float64{2, 2.1}, false},     // LE row
+		{[]float64{2, 3.5}, false},     // GE row (and LE)
+		{[]float64{2.001, 1}, false},   // EQ row
+		{[]float64{2, -0.5}, false},    // sign
+	} {
+		err := p.certify(tc.x)
+		if tc.ok && err != nil {
+			t.Errorf("x=%v: %v, want accepted", tc.x, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrNotCertified) {
+			t.Errorf("x=%v: err = %v, want ErrNotCertified", tc.x, err)
 		}
 	}
 }

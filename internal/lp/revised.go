@@ -5,11 +5,15 @@ import (
 	"math"
 )
 
-// Revised is a revised-simplex solver handle with the same contract as
-// Incremental — solve, append rows, warm re-solve — but a fundamentally
-// different per-pivot cost model. Where the dense tableau rewrites every row
-// and column on each pivot (O(m·(n+m)) per pivot), Revised keeps the
-// constraint matrix in sparse column form and maintains only a factorization
+// Revised is a resolvable revised-simplex solver handle for the cutting-plane
+// pattern: solve a problem once, then repeatedly append constraint rows and
+// re-solve warm. Constraints may be added through the handle (AddConstraint,
+// AddSparseConstraint) or directly on the underlying Problem — both are
+// picked up at the next Solve, and the Problem always holds the complete row
+// set, so a cold dense Solve of the same Problem is an exact differential
+// oracle for the warm path. Where the dense tableau rewrites every row and
+// column on each pivot (O(m·(n+m)) per pivot), Revised keeps the constraint
+// matrix in sparse column form and maintains only a factorization
 // of the basis: a dense LU of the small structural core (see factor.go) plus
 // a product-form eta file of recent pivots. Each pivot then costs two
 // factorization solves (FTRAN/BTRAN, O(k²) dense work for a core of k
@@ -27,9 +31,11 @@ import (
 // additionally certified against the original columns (‖b − B·x_B‖ bounded)
 // before it is returned.
 //
-// Appended rows are stored sparsely and priced into the warm basis exactly
-// as Incremental does (GE rows negated, EQ rows split into paired LE rows);
-// the re-solve then runs dual simplex from the previous optimal basis, on
+// Appended rows are stored sparsely and priced into the warm basis as LE rows
+// with a basic slack (GE rows negated, EQ rows split into a signed pair):
+// rows that do not cut off the old optimum cost zero pivots, and rows that do
+// — cutting planes — leave the old basis dual feasible, so the re-solve skips
+// phase 1 and runs dual simplex from the previous optimal basis, on
 // deterministically perturbed costs (see perturb) so that a dual-degenerate
 // master — a cut master prices most unused links to a reduced cost of zero —
 // takes steps of positive length instead of stalling; the perturbation is
@@ -37,7 +43,7 @@ import (
 // those of the problem as given. A warm attempt that still fails (budget,
 // numerical trouble) costs one cold revised solve and the next solve tries
 // warm again; a cold revised solve that fails numerically falls back to the
-// dense tableau (solveWithTableau) — the dense solver remains both the
+// dense tableau (SolveContext) — the dense solver remains both the
 // differential oracle and the fallback of last resort. All scratch vectors
 // and the eta file are arena-backed and reused across solves, so steady-state
 // warm pivoting does not allocate.
@@ -95,7 +101,7 @@ type Revised struct {
 	objSnap  []float64
 	lastWarm bool
 
-	stats  IncrementalStats
+	stats  SolveStats
 	fstats FactorStats
 }
 
@@ -108,6 +114,17 @@ type revCol struct {
 func (c *revCol) add(row int, v float64) {
 	c.rows = append(c.rows, int32(row))
 	c.vals = append(c.vals, v)
+}
+
+// SolveStats counts the solves of a Revised handle and their simplex pivots,
+// split by how each solve started.
+type SolveStats struct {
+	// WarmSolves and WarmPivots count the Solve calls (and their simplex
+	// pivots) that re-optimized from the previous optimal basis.
+	WarmSolves, WarmPivots int
+	// ColdSolves and ColdPivots count the Solve calls that solved from the
+	// slack basis: the first solve and any fallback re-solve.
+	ColdSolves, ColdPivots int
 }
 
 // FactorStats counts the factorization work done by a Revised handle.
@@ -132,9 +149,9 @@ const statusNumerical Status = -1
 
 // NewRevised returns a revised-simplex handle over the problem. The problem
 // may already contain constraints; nothing is solved until Solve is called.
-// The dense solvers (Solve, Incremental) remain exact differential oracles:
-// both paths report objectives within standard simplex tolerances of each
-// other on any feasible bounded problem.
+// The dense Solve remains an exact differential oracle: both report objectives
+// within standard simplex tolerances of each other on any feasible bounded
+// problem.
 func NewRevised(p *Problem, opts *Options) *Revised {
 	tol := 1e-9
 	if opts != nil && opts.Tolerance > 0 {
@@ -143,11 +160,8 @@ func NewRevised(p *Problem, opts *Options) *Revised {
 	return &Revised{p: p, opts: opts, tol: tol, synced: -1}
 }
 
-// Problem returns the underlying problem (shared with the handle).
-func (rv *Revised) Problem() *Problem { return rv.p }
-
 // Stats returns the cumulative warm/cold solve and pivot counters.
-func (rv *Revised) Stats() IncrementalStats { return rv.stats }
+func (rv *Revised) Stats() SolveStats { return rv.stats }
 
 // FactorStats returns the cumulative factorization counters.
 func (rv *Revised) FactorStats() FactorStats { return rv.fstats }
@@ -172,15 +186,18 @@ func (rv *Revised) Solve() (*Solution, error) {
 	return rv.SolveContext(context.Background())
 }
 
-// SolveContext solves with cooperative cancellation, mirroring
-// Incremental.SolveContext: the first call (and any call after a non-Optimal
-// solve) solves cold from the slack basis; later calls append the new rows
-// and re-optimize warm with dual simplex from the previous optimal basis.
-// Unlike Incremental, a changed objective does not force a cold re-solve on
-// its own — the revised form reprices every pivot from the basis
-// factorization, so the previous basis stays warm under primal simplex. A
-// canceled solve leaves the handle consistent but cold: the mid-pivot
-// factorization is discarded and never seeds a warm start.
+// SolveContext solves with cooperative cancellation: the first call (and any
+// call after a non-Optimal solve) solves cold from the slack basis; later
+// calls append the new rows and re-optimize warm with dual simplex from the
+// previous optimal basis. A warm attempt that does not reach optimality falls
+// back to one cold solve: the returned Solution then reflects the cold result
+// and its Iterations include the pivots of both attempts. A changed objective
+// does not force a cold re-solve on its own — every pivot is repriced from
+// the basis factorization, so the previous basis stays warm under primal
+// simplex. A canceled solve leaves the handle consistent but cold: the
+// mid-pivot factorization is discarded and never seeds a warm start, and a
+// canceled warm attempt returns the wrapped ErrCanceled directly instead of
+// spending a cold solve on a deadline that has already expired.
 func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 	if rv.p == nil || rv.p.numVars == 0 {
 		return nil, ErrBadProblem
@@ -214,7 +231,7 @@ func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 		// tableau, the oracle of last resort.
 		rv.fstats.DenseFallbacks++
 		rv.invalidate()
-		sol, _, err = solveWithTableau(ctx, rv.p, rv.opts)
+		sol, err = SolveContext(ctx, rv.p, rv.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -860,7 +877,8 @@ func (rv *Revised) unperturb() {
 }
 
 // dualIterate restores primal feasibility with dual simplex pivots from a
-// dual-feasible basis, mirroring tableau.dualIterate: leaving row by most
+// dual-feasible basis — the re-optimization engine of the warm re-solve, where
+// a violated appended row shows as a negative basic slack: leaving row by most
 // negative basic value (Bland fallback on stall), entering column by the
 // smallest dual ratio with largest-magnitude-pivot tie-breaking. Reduced
 // costs are maintained incrementally from the pivot row and recomputed from
@@ -1147,8 +1165,8 @@ func (rv *Revised) Duals() []float64 {
 // to fall back to the dense tableau.
 func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	if len(rv.p.constraints) == 0 {
-		// No rows: decided without a basis, exactly like solveWithTableau.
-		sol, _, err := solveWithTableau(ctx, rv.p, rv.opts)
+		// No rows: decided without a basis, by the dense solver's rule.
+		sol, err := SolveContext(ctx, rv.p, rv.opts)
 		rv.invalidate()
 		if err == nil {
 			rv.status = sol.Status

@@ -221,9 +221,8 @@ func TestRevisedUnitLPs(t *testing.T) {
 	}
 }
 
-// TestRevisedWarmAcrossObjectiveChange: unlike Incremental, the revised
-// solver reprices from the factorization, so a changed objective alone keeps
-// the previous basis warm.
+// TestRevisedWarmAcrossObjectiveChange: the revised solver reprices from the
+// factorization, so a changed objective alone keeps the previous basis warm.
 func TestRevisedWarmAcrossObjectiveChange(t *testing.T) {
 	p := NewProblem(3)
 	for j := 0; j < 3; j++ {
@@ -662,4 +661,147 @@ func TestRevisedContextCancellationMidSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAgree(t, "post-cancel", sol, dense)
+}
+
+// TestRevisedWarmStartsAfterFirstSolve pins the warm path on a
+// cutting-plane-shaped problem (maximize tp under tp <= x0 + x1 style rows):
+// a cut that does not bind costs zero pivots, a violated one re-optimizes
+// from the old basis.
+func TestRevisedWarmStartsAfterFirstSolve(t *testing.T) {
+	p := NewProblem(3) // x0, x1, tp
+	p.SetObjectiveCoeff(2, 1)
+	p.AddConstraint([]float64{1, 0, 0}, LE, 4)
+	p.AddConstraint([]float64{0, 1, 0}, LE, 2)
+	p.AddConstraint([]float64{-1, -1, 1}, LE, 0) // tp <= x0 + x1
+
+	rv := NewRevised(p, nil)
+	sol, err := rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal || math.Abs(sol.Objective-6) > 1e-9 {
+		t.Fatalf("first solve: %+v", sol)
+	}
+	if rv.LastWarm() {
+		t.Fatal("first solve claims to be warm")
+	}
+
+	rv.AddConstraint([]float64{0, 0, 1}, LE, 100)
+	sol, err = rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rv.LastWarm() || sol.Status != Optimal || sol.Iterations != 0 {
+		t.Fatalf("non-binding cut: warm=%v status=%v iterations=%d", rv.LastWarm(), sol.Status, sol.Iterations)
+	}
+	if math.Abs(sol.Objective-6) > 1e-9 {
+		t.Fatalf("objective moved to %v", sol.Objective)
+	}
+
+	rv.AddConstraint([]float64{0, 0, 1}, LE, 5)
+	sol, err = rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rv.LastWarm() || sol.Status != Optimal {
+		t.Fatalf("violated cut: warm=%v status=%v", rv.LastWarm(), sol.Status)
+	}
+	if math.Abs(sol.Objective-5) > 1e-9 {
+		t.Fatalf("objective = %v, want 5", sol.Objective)
+	}
+	if st := rv.Stats(); st.ColdSolves != 1 || st.WarmSolves != 2 {
+		t.Fatalf("stats = %+v, want 1 cold / 2 warm", st)
+	}
+}
+
+// TestRevisedGEAndEQRowsWarm: GE and EQ rows appended after the first solve
+// are priced warm (negated, and split into a signed pair) and must match cold
+// dense solves of the same growing problem.
+func TestRevisedGEAndEQRowsWarm(t *testing.T) {
+	p := NewProblem(2)
+	p.SetObjective([]float64{1, 1})
+	p.AddConstraint([]float64{1, 0}, LE, 3)
+	p.AddConstraint([]float64{0, 1}, LE, 4)
+	rv := NewRevised(p, nil)
+	if _, err := rv.Solve(); err != nil {
+		t.Fatal(err)
+	}
+
+	rv.AddConstraint([]float64{1, 1}, GE, 2) // slack at the optimum
+	sol, err := rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rv.LastWarm() || sol.Status != Optimal || math.Abs(sol.Objective-7) > 1e-9 {
+		t.Fatalf("after GE: warm=%v %+v", rv.LastWarm(), sol)
+	}
+
+	rv.AddSparseConstraint([]Term{{Var: 0, Coeff: 1}}, EQ, 1) // binds x to 1
+	sol, err = rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rv.LastWarm() || sol.Status != Optimal || math.Abs(sol.Objective-5) > 1e-9 {
+		t.Fatalf("after EQ: warm=%v %+v", rv.LastWarm(), sol)
+	}
+	if math.Abs(sol.X[0]-1) > 1e-9 {
+		t.Fatalf("x = %v, want 1", sol.X[0])
+	}
+	dense, err := Solve(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAgree(t, "GE and EQ rows", sol, dense)
+}
+
+// TestRevisedDetectsInfeasibleCut: an appended row no point satisfies ends
+// Infeasible (through the cold fallback, which rules out drift), never as a
+// feasible point.
+func TestRevisedDetectsInfeasibleCut(t *testing.T) {
+	p := NewProblem(2)
+	p.SetObjective([]float64{1, 1})
+	p.AddConstraint([]float64{1, 0}, LE, 3)
+	p.AddConstraint([]float64{0, 1}, LE, 4)
+	rv := NewRevised(p, nil)
+	if _, err := rv.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	rv.AddConstraint([]float64{1, 1}, LE, -1) // unsatisfiable for x, y >= 0
+	sol, err := rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Infeasible {
+		t.Fatalf("status = %v, want infeasible", sol.Status)
+	}
+	if sol.Feasible {
+		t.Fatal("infeasible solution marked feasible")
+	}
+}
+
+// TestRevisedPicksUpDirectProblemGrowth: rows added directly on the
+// underlying Problem (not via the handle) are picked up by the next Solve —
+// package steady grows its master this way.
+func TestRevisedPicksUpDirectProblemGrowth(t *testing.T) {
+	p := NewProblem(1)
+	p.SetObjective([]float64{1})
+	p.AddConstraint([]float64{1}, LE, 10)
+	rv := NewRevised(p, nil)
+	if _, err := rv.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	p.AddConstraint([]float64{1}, LE, 4)
+	sol, err := rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rv.LastWarm() || sol.Status != Optimal || math.Abs(sol.Objective-4) > 1e-9 {
+		t.Fatalf("direct growth ignored: warm=%v %+v", rv.LastWarm(), sol)
+	}
+}
+
+func TestRevisedNilProblem(t *testing.T) {
+	if _, err := NewRevised(nil, nil).Solve(); !errors.Is(err, ErrBadProblem) {
+		t.Fatalf("nil problem: err = %v, want ErrBadProblem", err)
+	}
 }

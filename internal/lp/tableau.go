@@ -235,8 +235,7 @@ func (t *tableau) iterate(ctx context.Context, maxIter int, counter *int, detect
 			return Optimal
 		}
 		// Optimality is checked before the budget so that a basis that is
-		// already optimal when the last pivot exhausted the allowance (the
-		// warm re-solve's dual phase routinely ends exactly on budget) is
+		// already optimal when the last pivot exhausted the allowance is
 		// reported Optimal, not IterationLimit.
 		if *counter >= maxIter {
 			return IterationLimit
@@ -327,48 +326,6 @@ func (t *tableau) chooseLeaving(enter int) int {
 	return best
 }
 
-// appendRowLE adds the constraint coeffs·x <= rhs (coeffs given over the
-// decision variables) to a tableau that is already in simplex canonical form,
-// without disturbing the current basis: a fresh slack column becomes basic in
-// the new row, which is then expressed over the non-basic columns by
-// eliminating every currently-basic column. The basic columns form an
-// identity across the existing rows, so a single subtraction per row suffices
-// and no eliminated entry reappears. The resulting right-hand side may be
-// negative — the standard situation for a violated cutting plane — in which
-// case the basis is primal infeasible but still dual feasible, and
-// dualIterate restores feasibility.
-func (t *tableau) appendRowLE(coeffs []float64, rhs float64) {
-	slack := t.cols
-	t.cols++
-	for i := 0; i < t.rows; i++ {
-		t.a[i] = append(t.a[i], 0)
-	}
-	t.cost = append(t.cost, 0)
-	t.banned = append(t.banned, false)
-
-	row := make([]float64, t.cols)
-	copy(row, coeffs)
-	row[slack] = 1
-	for i := 0; i < t.rows; i++ {
-		factor := row[t.basis[i]]
-		if factor == 0 {
-			continue
-		}
-		ai := t.a[i]
-		for j := 0; j < t.cols; j++ {
-			row[j] -= factor * ai[j]
-		}
-		row[t.basis[i]] = 0
-		rhs -= factor * t.rhs[i]
-	}
-	t.a = append(t.a, row)
-	t.rhs = append(t.rhs, rhs)
-	t.basis = append(t.basis, slack)
-	t.idCols = append(t.idCols, slack)
-	t.rowSign = append(t.rowSign, 1)
-	t.rows++
-}
-
 // duals returns the simplex multipliers (shadow prices) of the constraint
 // rows with respect to the constraints as originally given: the reduced cost
 // of each row's identity column is -y_i for the stored (sign-normalized) row,
@@ -381,111 +338,6 @@ func (t *tableau) duals() []float64 {
 		out[i] = -t.cost[t.idCols[i]] * t.rowSign[i]
 	}
 	return out
-}
-
-// infeasibility is the total primal infeasibility: the negated sum of the
-// negative right-hand sides.
-func (t *tableau) infeasibility() float64 {
-	var s float64
-	for _, r := range t.rhs {
-		if r < 0 {
-			s -= r
-		}
-	}
-	return s
-}
-
-// dualIterate restores primal feasibility with dual simplex pivots, keeping
-// the cost row dual feasible (no reduced cost above tolerance) throughout. It
-// is the re-optimization engine of the incremental solver: rows appended by
-// appendRowLE may carry a negative right-hand side, and each dual pivot
-// drives one such row back into range while the objective only decreases.
-// It returns Optimal once every right-hand side is non-negative (the point is
-// then both primal and dual feasible), Infeasible when some negative row has
-// no eligible entering column (that row is unsatisfiable), or IterationLimit.
-//
-// Row selection takes the most negative right-hand side and permanently
-// switches to Bland-style smallest-basis-index selection once the total
-// infeasibility stalls — the dual analogue of the primal anti-cycling
-// fallback in iterate. The entering column minimizes the dual ratio
-// |cost/coefficient| with smallest-index tie-breaking.
-func (t *tableau) dualIterate(ctx context.Context, maxIter int, counter *int) Status {
-	stallLimit := 4 * (t.rows + 16)
-	lastInfeas := t.infeasibility()
-	stalled := 0
-	useBland := false
-	for {
-		if *counter%cancelCheckInterval == 0 && pollCtx(ctx) {
-			return Canceled
-		}
-		leave := -1
-		if useBland {
-			for i := 0; i < t.rows; i++ {
-				if t.rhs[i] < -t.tol && (leave < 0 || t.basis[i] < t.basis[leave]) {
-					leave = i
-				}
-			}
-		} else {
-			worst := -t.tol
-			for i := 0; i < t.rows; i++ {
-				if t.rhs[i] < worst {
-					worst = t.rhs[i]
-					leave = i
-				}
-			}
-		}
-		if leave < 0 {
-			return Optimal
-		}
-		if *counter >= maxIter {
-			return IterationLimit
-		}
-		row := t.a[leave]
-		enter := -1
-		bestRatio := 0.0
-		for j := 0; j < t.cols; j++ {
-			if t.banned[j] || row[j] >= -t.tol {
-				continue
-			}
-			// cost[j] <= tol (dual feasibility) and row[j] < 0, so the ratio
-			// is >= 0 up to tolerance; the smallest ratio keeps every reduced
-			// cost non-positive after the pivot.
-			ratio := t.cost[j] / row[j]
-			eps := t.relTol(bestRatio)
-			switch {
-			case enter < 0 || ratio < bestRatio-eps:
-				enter, bestRatio = j, ratio
-			case !useBland && ratio <= bestRatio+eps && row[j] < row[enter]:
-				// Tied ratio (the common case here: objectives with few
-				// nonzero coefficients leave most reduced costs at zero, so
-				// almost every ratio is zero). Prefer the largest-magnitude
-				// pivot element: it divides the leaving row's negative
-				// right-hand side by more, re-injecting less infeasibility
-				// into the other rows and so escaping degenerate stretches
-				// much faster than a fixed smallest-index choice.
-				enter = j
-				if ratio < bestRatio {
-					bestRatio = ratio
-				}
-			}
-		}
-		if enter < 0 {
-			return Infeasible
-		}
-		t.pivot(leave, enter)
-		*counter++
-		if !useBland {
-			if s := t.infeasibility(); s < lastInfeas-t.tol {
-				lastInfeas = s
-				stalled = 0
-			} else {
-				stalled++
-				if stalled > stallLimit {
-					useBland = true
-				}
-			}
-		}
-	}
 }
 
 // pivot makes column enter basic in row leave.

@@ -25,7 +25,7 @@ const (
 	SpanQueueWait SpanKind = "queue-wait"
 	// SpanSolve is one steady-state solve: cutting-plane rounds, cuts, the
 	// simplex pivot counts (warm/cold split) and cold master solves of this
-	// resolve, sourced from the incremental LP statistics, and the
+	// resolve, sourced from the master LP's solve statistics, and the
 	// separation max-flow count.
 	SpanSolve SpanKind = "solve"
 	// SpanDegraded is the immediate heuristic answer of degraded mode.

@@ -58,7 +58,7 @@ func (c benchCell) solve(tb testing.TB) (*platform.Platform, *steady.Solution) {
 	if err != nil {
 		tb.Fatalf("%v: %v", c, err)
 	}
-	sol, err := steady.Solve(p, 0, &steady.Options{Revised: true})
+	sol, err := steady.Solve(p, 0, nil)
 	if err != nil {
 		tb.Fatalf("%v: solve: %v", c, err)
 	}

@@ -149,11 +149,8 @@ func evaluateUnitChurn(cfg SweepConfig, cs churnSettings, u unit, p *platform.Pl
 		return res
 	}
 	var steadyOpts *steady.Options
-	if cfg.ColdStartLP || cfg.RevisedLP || cfg.LPMaxIterations > 0 {
-		steadyOpts = &steady.Options{ColdStart: cfg.ColdStartLP, Revised: cfg.RevisedLP}
-		if cfg.LPMaxIterations > 0 {
-			steadyOpts.LP = &lp.Options{MaxIterations: cfg.LPMaxIterations}
-		}
+	if cfg.LPMaxIterations > 0 {
+		steadyOpts = &steady.Options{LP: &lp.Options{MaxIterations: cfg.LPMaxIterations}}
 	}
 	rep, err := dynamic.Run(p, cfg.Source, tr, dynamic.Config{
 		Heuristic: cs.heuristic,

@@ -34,55 +34,63 @@ func assertAchievable(t *testing.T, p *platform.Platform, source int, sol *stead
 }
 
 // TestSteadyWarmColdDirectAcrossRegistry is the differential harness of the
-// warm-started master LP: on every registered scenario family, the
-// warm-started cutting-plane solver, the cold-start oracle and the direct
-// LP (2) encoding must agree on the optimal throughput, and both
-// cutting-plane solutions must be achievable (their edge rates support the
-// reported throughput to every destination).
+// master LP, with two independent references: on every registered scenario
+// family at its default sizes, the warm-started cutting-plane solver (the
+// session on lp.Revised), the dense cold oracle (steady.SolveReference) and —
+// where LP (2) is small enough to write out — its direct encoding must agree
+// on the optimal throughput, and both cutting-plane solutions must be
+// achievable (their edge rates support the reported throughput to every
+// destination).
 func TestSteadyWarmColdDirectAcrossRegistry(t *testing.T) {
 	const (
 		source = 0
 		seed   = 29
 		relTol = 1e-6
+		// SolveDirect has one flow variable per (destination, link) pair.
+		maxDirectVars = 2000
 	)
+	agree := func(t *testing.T, size int, aName string, a float64, bName string, b float64) {
+		t.Helper()
+		if math.Abs(a-b)/math.Max(b, 1e-12) > relTol {
+			t.Errorf("n=%d: %s %v vs %s %v", size, aName, a, bName, b)
+		}
+	}
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			size := 8
-			if size < s.MinSize {
-				size = s.MinSize
+			t.Parallel()
+			for _, size := range s.DefaultSizes {
+				if testing.Short() && size != s.DefaultSizes[0] {
+					continue
+				}
+				p, err := s.Generate(size, seed)
+				if err != nil {
+					t.Fatalf("n=%d: generate: %v", size, err)
+				}
+				// A tight gap tolerance makes the cutting-plane loop run to
+				// full separation convergence, so all three solvers agree to
+				// 1e-6 instead of only to the default 1e-5 early-exit gap.
+				warm, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9})
+				if err != nil {
+					t.Fatalf("n=%d: warm: %v", size, err)
+				}
+				cold, err := steady.SolveReference(p, source, &steady.Options{GapTolerance: 1e-9})
+				if err != nil {
+					t.Fatalf("n=%d: cold: %v", size, err)
+				}
+				agree(t, size, "warm", warm.Throughput, "cold", cold.Throughput)
+				assertAchievable(t, p, source, warm, "warm")
+				assertAchievable(t, p, source, cold, "cold")
+				if (p.NumNodes()-1)*p.NumLinks() > maxDirectVars {
+					continue
+				}
+				direct, err := steady.SolveDirect(p, source, nil)
+				if err != nil {
+					t.Fatalf("n=%d: direct: %v", size, err)
+				}
+				agree(t, size, "warm", warm.Throughput, "direct", direct.Throughput)
+				agree(t, size, "cold", cold.Throughput, "direct", direct.Throughput)
 			}
-			p, err := s.Generate(size, seed)
-			if err != nil {
-				t.Fatalf("generate: %v", err)
-			}
-			// A tight gap tolerance makes the cutting-plane loop run to full
-			// separation convergence, so all three solvers agree to 1e-6
-			// instead of only to the default 1e-5 early-exit gap.
-			warm, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9})
-			if err != nil {
-				t.Fatalf("warm: %v", err)
-			}
-			cold, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9, ColdStart: true})
-			if err != nil {
-				t.Fatalf("cold: %v", err)
-			}
-			direct, err := steady.SolveDirect(p, source, nil)
-			if err != nil {
-				t.Fatalf("direct: %v", err)
-			}
-			ref := math.Max(direct.Throughput, 1e-12)
-			if math.Abs(warm.Throughput-cold.Throughput)/math.Max(cold.Throughput, 1e-12) > relTol {
-				t.Errorf("warm %v vs cold %v", warm.Throughput, cold.Throughput)
-			}
-			if math.Abs(warm.Throughput-direct.Throughput)/ref > relTol {
-				t.Errorf("warm %v vs direct %v", warm.Throughput, direct.Throughput)
-			}
-			if math.Abs(cold.Throughput-direct.Throughput)/ref > relTol {
-				t.Errorf("cold %v vs direct %v", cold.Throughput, direct.Throughput)
-			}
-			assertAchievable(t, p, source, warm, "warm")
-			assertAchievable(t, p, source, cold, "cold")
 		})
 	}
 }

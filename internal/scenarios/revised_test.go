@@ -11,16 +11,14 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/pack"
 	"repro/internal/steady"
-	"repro/internal/topology"
 )
 
-// TestSteadyRevisedAcrossRegistry is the differential harness of the
-// revised-simplex master LP: on every registered scenario family, the
-// revised solver, the warm dense incremental solver and the cold-start
-// oracle must agree on the optimal throughput within 1e-6 relative, the
-// revised solution must be achievable (its edge rates support the reported
-// throughput to every destination), and it must decompose into a valid
-// one-port-feasible spanning-tree packing.
+// TestSteadyRevisedAcrossRegistry holds the revised-simplex master LP to its
+// consumers: on every registered scenario family, the solver and the dense
+// cold oracle (steady.SolveReference) must agree on the optimal throughput
+// within 1e-6 relative, the solution must be achievable (its edge rates
+// support the reported throughput to every destination), and it must
+// decompose into a valid one-port-feasible spanning-tree packing.
 func TestSteadyRevisedAcrossRegistry(t *testing.T) {
 	const (
 		source = 0
@@ -38,23 +36,15 @@ func TestSteadyRevisedAcrossRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generate: %v", err)
 			}
-			rev, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9, Revised: true})
+			rev, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9})
 			if err != nil {
 				t.Fatalf("revised: %v", err)
 			}
-			warm, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9})
-			if err != nil {
-				t.Fatalf("warm incremental: %v", err)
-			}
-			cold, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9, ColdStart: true})
+			cold, err := steady.SolveReference(p, source, &steady.Options{GapTolerance: 1e-9})
 			if err != nil {
 				t.Fatalf("cold: %v", err)
 			}
-			ref := math.Max(cold.Throughput, 1e-12)
-			if math.Abs(rev.Throughput-warm.Throughput)/ref > relTol {
-				t.Errorf("revised %v vs warm incremental %v", rev.Throughput, warm.Throughput)
-			}
-			if math.Abs(rev.Throughput-cold.Throughput)/ref > relTol {
+			if math.Abs(rev.Throughput-cold.Throughput)/math.Max(cold.Throughput, 1e-12) > relTol {
 				t.Errorf("revised %v vs cold %v", rev.Throughput, cold.Throughput)
 			}
 			assertAchievable(t, p, source, rev, "revised")
@@ -78,16 +68,16 @@ func TestSteadyRevisedAcrossRegistry(t *testing.T) {
 }
 
 // TestChurnRevisedSessionMatchesColdSolve replays every registry family
-// through a 50-event churn trace with the revised-simplex warm session and
-// checks each re-solved optimum against a per-event cold solve within 1e-6
-// relative — the warm-restart contract of the revised solver under row
-// appends, row rewrites and platform deltas.
+// through a 50-event churn trace with the warm session and checks each
+// re-solved optimum against a per-event dense cold solve
+// (steady.SolveReference on a shadow platform) within 1e-6 relative — the
+// warm-restart contract of the revised solver under row appends, row rewrites
+// and platform deltas, against an LP it shares no code with.
 func TestChurnRevisedSessionMatchesColdSolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential churn sweep is not short")
 	}
-	opts := &steady.Options{GapTolerance: 1e-9, Revised: true}
-	coldOpts := &steady.Options{GapTolerance: 1e-9}
+	opts := &steady.Options{GapTolerance: 1e-9}
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -109,16 +99,18 @@ func TestChurnRevisedSessionMatchesColdSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := dynamic.Run(p, 0, tr, dynamic.Config{Steady: coldOpts, ColdResolve: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range warm.Events {
-				w, c := warm.Events[i].Optimal, cold.Events[i].Optimal
-				rel := math.Abs(w-c) / math.Max(c, 1e-12)
-				if rel > 1e-6 {
-					t.Errorf("event %d (%v): revised optimum %v vs cold %v (rel %v)",
-						i, warm.Events[i].Delta, w, c, rel)
+			shadow := p.Clone()
+			for i, ev := range tr.Events {
+				if _, err := shadow.ApplyDelta(ev.Delta); err != nil {
+					t.Fatalf("event %d (%v): %v", i, ev.Delta, err)
+				}
+				cold, err := steady.SolveReference(shadow, 0, opts)
+				if err != nil {
+					t.Fatalf("event %d (%v): reference: %v", i, ev.Delta, err)
+				}
+				w, c := warm.Events[i].Optimal, cold.Throughput
+				if rel := math.Abs(w-c) / math.Max(c, 1e-12); rel > 1e-6 {
+					t.Errorf("event %d (%v): revised optimum %v vs dense cold %v (rel %v)", i, ev.Delta, w, c, rel)
 				}
 			}
 		})
@@ -132,38 +124,29 @@ func TestChurnRevisedSessionMatchesColdSolve(t *testing.T) {
 // hanging the suite) and its edge rates must carry the reported throughput to
 // every destination. The budgets are some ten times the walls measured on a
 // 2-core 2.1 GHz VM (in the comments), room for a loaded CI runner and the
-// race detector. The n=256 cells run in the regular (non-short) tier, and
-// cluster-of-clusters:256, where the dense incremental master is still
-// tractable, is also compared with it; everything larger is gated behind
-// BCAST_LARGE=1 — seconds of comparison-free solving that belong to the
-// bench/CI-artifact tier, not every test run. Platforms are the seed-7
-// registry instances, except ring:1024: three of five ring instances at that
-// size (seed 7 among them) stop at the cutting-plane loop's 200-round cap —
-// the cut loop's limit, ROADMAP item 2b, not the LP's — so the tier runs the
-// benchmark pool's instance 0, which converges. grid:1024 is not in the
-// tier because it is no longer advertised (see the registry entry).
+// race detector. The n=256 cells run in the regular (non-short) tier;
+// everything larger is gated behind BCAST_LARGE=1 — seconds of solving that
+// belong to the bench/CI-artifact tier, not every test run. Platforms are the
+// seed-7 registry instances. grid:1024 and ring:1024 are not in the tier
+// because they are not advertised (see the registry entries).
 func TestRevisedLargeScenarioSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-size revised solve is not short")
 	}
 	const source = 0
-	ringPool0 := topology.DeriveSeed(7, "bench/ring:1024", 0)
 	cells := []struct {
 		family string
 		size   int
-		seed   int64
 		budget time.Duration
-		dense  bool // compare with the dense incremental master
 	}{
-		{NameClusters, 256, 7, 5 * time.Second, true},        // 40 ms
-		{NameGrid, 256, 7, 5 * time.Second, false},           // 60 ms
-		{NameTiers, 256, 7, 5 * time.Second, false},          // 30 ms
-		{NameClusters, 1024, 7, 30 * time.Second, false},     // 1.0 s
-		{NameGrid, 512, 7, 15 * time.Second, false},          // 0.57 s
-		{NameTiers, 512, 7, 10 * time.Second, false},         // 0.09 s
-		{NameTiers, 1024, 7, 30 * time.Second, false},        // 1.4 s
-		{NameRing, 512, 7, 20 * time.Second, false},          // 0.84 s, 132 rounds
-		{NameRing, 1024, ringPool0, 20 * time.Second, false}, // 0.66 s
+		{NameClusters, 256, 5 * time.Second},   // 40 ms
+		{NameGrid, 256, 5 * time.Second},       // 60 ms
+		{NameTiers, 256, 5 * time.Second},      // 30 ms
+		{NameClusters, 1024, 30 * time.Second}, // 1.0 s
+		{NameGrid, 512, 15 * time.Second},      // 0.57 s
+		{NameTiers, 512, 10 * time.Second},     // 0.09 s
+		{NameTiers, 1024, 30 * time.Second},    // 1.4 s
+		{NameRing, 512, 20 * time.Second},      // 0.84 s, 132 rounds
 	}
 	large := os.Getenv("BCAST_LARGE") != ""
 	if !large {
@@ -178,12 +161,12 @@ func TestRevisedLargeScenarioSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := s.Generate(c.size, c.seed)
+		p, err := s.Generate(c.size, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), c.budget)
-		rev, err := steady.NewSession(p, source, &steady.Options{Revised: true}).ResolveContext(ctx)
+		rev, err := steady.NewSession(p, source, nil).ResolveContext(ctx)
 		cancel()
 		if err != nil {
 			t.Errorf("%s: revised master inside its %v budget: %v", label, c.budget, err)
@@ -193,15 +176,5 @@ func TestRevisedLargeScenarioSizes(t *testing.T) {
 			t.Errorf("%s: degenerate throughput %v", label, rev.Throughput)
 		}
 		assertAchievable(t, p, source, rev, "revised "+label)
-		if !c.dense {
-			continue
-		}
-		inc, err := steady.Solve(p, source, nil)
-		if err != nil {
-			t.Fatalf("%s: incremental: %v", label, err)
-		}
-		if rel := math.Abs(rev.Throughput-inc.Throughput) / math.Max(inc.Throughput, 1e-12); rel > 1e-6 {
-			t.Errorf("%s: revised %v vs incremental %v (rel %v)", label, rev.Throughput, inc.Throughput, rel)
-		}
 	}
 }

@@ -34,10 +34,9 @@ type Scenario struct {
 	DefaultSizes []int
 	// LargeSizes is the family's large-scale sweep tier: sizes beyond the
 	// defaults that the generator supports with a link count that keeps the
-	// master LP tractable, intended to be swept with the revised-simplex
-	// master (SweepConfig.RevisedLP). Empty means the family has no large
-	// tier — e.g. the complete graph or the dense random family, whose link
-	// counts (and so LP column counts) grow quadratically with size.
+	// master LP tractable. Empty means the family has no large tier — e.g.
+	// the complete graph or the dense random family, whose link counts (and
+	// so LP column counts) grow quadratically with size.
 	LargeSizes []int
 	// Generate builds a platform of the given size from the seed.
 	Generate Generator
@@ -485,7 +484,12 @@ func init() {
 			Description:  "bidirectional ring",
 			MinSize:      2,
 			DefaultSizes: []int{8, 16, 32},
-			LargeSizes:   []int{256, 512, 1024},
+			// No 1024: a large size is advertised only if it completes under
+			// its budget (TestRevisedLargeScenarioSizes). At n=1024 three of
+			// five instances (seed 7 among them) separate some nine cuts a
+			// round and stop at the cutting-plane loop's 200-round cap with
+			// ErrNoConvergence — the cut loop's limit, not the LP's.
+			LargeSizes:   []int{256, 512},
 			ChurnProfile: dynamic.ProfileFlakyLinks,
 			Generate: withOverheads(func(size int, r *rand.Rand) (*platform.Platform, error) {
 				return topology.Ring(size, topology.PaperBandwidth, r)

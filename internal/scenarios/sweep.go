@@ -44,17 +44,6 @@ type SweepConfig struct {
 	// RecordTimings enables per-run wall-clock measurements. It defaults to
 	// false so that sweep output is byte-for-byte deterministic.
 	RecordTimings bool
-	// ColdStartLP forces the steady-state reference solver to re-solve its
-	// master LP from scratch every cutting-plane round instead of
-	// warm-starting from the previous round's basis. Slower; kept for A/B
-	// comparisons against the warm-started default.
-	ColdStartLP bool
-	// RevisedLP routes the steady-state reference solves through the
-	// revised-simplex master (lp.Revised): maintained LU basis, sparse cut
-	// rows, per-pivot cost nearly independent of the accumulated cut count.
-	// Required in practice for the large sweep sizes (n ≥ 512); ignored when
-	// ColdStartLP is set.
-	RevisedLP bool
 	// LPMaxIterations bounds the simplex pivots of each master LP solve of
 	// the reference optimum (0 = solver default). A limit low enough to bite
 	// surfaces as a per-run error, never as a silent zero-throughput sample.
@@ -179,8 +168,6 @@ type SweepMeta struct {
 	Seed           int64            `json:"seed"`
 	Source         int              `json:"source"`
 	EvalModel      string           `json:"evalModel"`
-	ColdStartLP    bool             `json:"coldStartLP,omitempty"`
-	RevisedLP      bool             `json:"revisedLP,omitempty"`
 	PackTrees      int              `json:"packTrees,omitempty"`
 	TotalRuns      int              `json:"totalRuns"`
 	TotalWallNanos int64            `json:"totalWallNanos,omitempty"`
@@ -306,7 +293,7 @@ func Sweep(cfg SweepConfig) (*SweepReport, error) {
 		cfg.Repetitions = 3
 	}
 	if cfg.Planner == nil {
-		// Plan-only workload: retained warm-session tableaux would be dead
+		// Plan-only workload: retained warm-session masters would be dead
 		// weight on a private per-sweep engine, so drop them after each
 		// solve.
 		cfg.Planner = service.New(service.Config{Workers: cfg.Workers, DisableSessions: true})
@@ -351,8 +338,6 @@ func Sweep(cfg SweepConfig) (*SweepReport, error) {
 			Seed:        cfg.Seed,
 			Source:      cfg.Source,
 			EvalModel:   cfg.EvalModel.String(),
-			ColdStartLP: cfg.ColdStartLP,
-			RevisedLP:   cfg.RevisedLP,
 			PackTrees:   cfg.PackTrees,
 		},
 	}
@@ -426,8 +411,6 @@ func evaluateUnit(cfg SweepConfig, churn churnSettings, u unit, heur []string) [
 	res, err := cfg.Planner.Plan(service.PlanRequest{
 		Platform:        p,
 		Source:          cfg.Source,
-		ColdLP:          cfg.ColdStartLP,
-		RevisedLP:       cfg.RevisedLP,
 		LPMaxIterations: cfg.LPMaxIterations,
 		Trees:           cfg.PackTrees,
 	})

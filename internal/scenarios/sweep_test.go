@@ -9,6 +9,7 @@ import (
 	"repro/internal/heuristics"
 	"repro/internal/model"
 	"repro/internal/service"
+	"repro/internal/steady"
 )
 
 func smallSweepConfig() SweepConfig {
@@ -314,35 +315,38 @@ func TestSweepRecordsLPStats(t *testing.T) {
 	}
 }
 
-// TestSweepColdStartLPMatchesWarm: the cold-start oracle sweep reports the
-// same optima as the warm-started default, with zero warm pivots.
-func TestSweepColdStartLPMatchesWarm(t *testing.T) {
-	cfg := SweepConfig{
+// TestSweepOptimaMatchColdReference: the optimum a sweep run reports — solved
+// warm, through the planning engine — matches the dense cold oracle on the
+// regenerated platform.
+func TestSweepOptimaMatchColdReference(t *testing.T) {
+	rep, err := Sweep(SweepConfig{
 		Scenarios:   []string{NameClusters},
 		Sizes:       []int{12},
 		Heuristics:  []string{heuristics.NamePruneSimple},
 		Repetitions: 2,
 		Seed:        13,
-	}
-	warm, err := Sweep(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ColdStartLP = true
-	cold, err := Sweep(cfg)
+	s, err := Get(NameClusters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cold.Meta.ColdStartLP || warm.Meta.ColdStartLP {
-		t.Fatal("meta does not record the cold-start flag")
-	}
-	if cold.Meta.TotalLPWarmPivots != 0 {
-		t.Fatalf("cold-start sweep performed %d warm pivots", cold.Meta.TotalLPWarmPivots)
-	}
-	for i := range warm.Runs {
-		w, c := warm.Runs[i], cold.Runs[i]
-		if math.Abs(w.Optimal-c.Optimal) > 1e-6*math.Max(1, c.Optimal) {
-			t.Errorf("run %d: warm optimum %v vs cold %v", i, w.Optimal, c.Optimal)
+	for i, r := range rep.Runs {
+		p, err := s.Generate(r.Size, r.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := steady.SolveReference(p, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.WarmPivots != 0 {
+			t.Fatalf("run %d: the cold oracle performed %d warm pivots", i, cold.WarmPivots)
+		}
+		if math.Abs(r.Optimal-cold.Throughput) > 1e-6*math.Max(1, cold.Throughput) {
+			t.Errorf("run %d: warm optimum %v vs cold %v", i, r.Optimal, cold.Throughput)
 		}
 	}
 }

@@ -31,13 +31,11 @@ type ConcurrentRequest struct {
 	// Sources are the concurrent broadcasts (at least one; sources must be
 	// distinct alive nodes).
 	Sources []ConcurrentSource `json:"sources"`
-	// Heuristic, Trees, ColdLP, RevisedLP and LPMaxIterations are forwarded
-	// to every per-source plan (see PlanRequest). Trees > 0 additionally
-	// packs each broadcast into at most Trees weighted trees.
+	// Heuristic, Trees and LPMaxIterations are forwarded to every per-source
+	// plan (see PlanRequest). Trees > 0 additionally packs each broadcast
+	// into at most Trees weighted trees.
 	Heuristic       string `json:"heuristic,omitempty"`
 	Trees           int    `json:"trees,omitempty"`
-	ColdLP          bool   `json:"coldLP,omitempty"`
-	RevisedLP       bool   `json:"revisedLP,omitempty"`
 	LPMaxIterations int    `json:"lpMaxIterations,omitempty"`
 	// DeadlineMs bounds each per-source solve (see PlanRequest.DeadlineMs).
 	DeadlineMs int `json:"deadlineMs,omitempty"`
@@ -150,8 +148,6 @@ func (e *Engine) ConcurrentContext(ctx context.Context, req ConcurrentRequest) (
 			Source:          cs.Source,
 			Heuristic:       req.Heuristic,
 			Trees:           req.Trees,
-			ColdLP:          req.ColdLP,
-			RevisedLP:       req.RevisedLP,
 			LPMaxIterations: req.LPMaxIterations,
 			DeadlineMs:      req.DeadlineMs,
 		}

@@ -5,11 +5,13 @@
 // The engine keeps an LRU cache of solved plans — and of warm steady.Session
 // handles — looked up by exact hash: the SHA-256 of the incoming platform's
 // canonical encoding (platform.CanonicalEncoding, one linear pass) plus the
-// request parameters that change the answer. The permutation-invariant
-// fingerprint (platform.Fingerprint) is computed on a miss only, outside the
-// engine lock, for twin detection — a renumbered copy of a cached platform
-// shares its fingerprint, is counted as a twin miss and solved in its own
-// numbering — and for delta-base routing, delta requests naming their base by
+// request parameters that change the answer (source, heuristic, pivot budget,
+// tree cap — there is one master LP solver, lp.Revised, so a platform has one
+// entry per such tuple). The permutation-invariant fingerprint
+// (platform.Fingerprint) is computed on a miss only, outside the engine lock,
+// for twin detection — a renumbered copy of a cached platform shares its
+// fingerprint, is counted as a twin miss and solved in its own numbering —
+// and for delta-base routing, delta requests naming their base by
 // fingerprint. So:
 //
 //   - A repeated identical request is answered from the cache with the
@@ -41,7 +43,7 @@
 //     into the simplex pivot loop, which polls it every 64 pivots. An expired
 //     or canceled solve returns ErrCanceled, removes its claimed cache entry
 //     (waiters see the error, the next request re-solves cold), and never
-//     leaves a mid-pivot tableau to be reused warm.
+//     leaves a mid-pivot basis to be reused warm.
 //
 //   - Admission control: solves run on Config.Workers lanes plus a bounded
 //     wait queue of Config.QueueDepth tokens (0 = unbounded). A cold miss

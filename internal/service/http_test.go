@@ -275,6 +275,38 @@ func TestHTTPMalformedJSONStructured400(t *testing.T) {
 	}
 }
 
+// TestHTTPDeletedLPKnobsAreRejected: the master LP solver is not a request
+// parameter. A body still carrying one of the deleted knobs — on any endpoint
+// that used to forward them — is refused by the strict decoder with a
+// structured 400 that names the field, not silently planned.
+func TestHTTPDeletedLPKnobsAreRejected(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(New(Config{})))
+	defer srv.Close()
+	plat, err := json.Marshal(smallPlatform(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, knob := range []string{"revisedLP", "coldLP"} {
+		for path, rest := range map[string]string{
+			"/v1/plan":       `"source":0`,
+			"/v1/evaluate":   `"source":0`,
+			"/v1/concurrent": `"sources":[{"source":0}]`,
+		} {
+			body := `{"platform":` + string(plat) + `,` + rest + `,"` + knob + `":true}`
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", path, knob, err)
+			}
+			var eb errorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(eb.Error, `"`+knob+`"`) {
+				t.Errorf("%s with %s: status %d, error %q (decode: %v); want a 400 naming the field", path, knob, resp.StatusCode, eb.Error, err)
+			}
+		}
+	}
+}
+
 // TestHTTPPanicRecovered asserts that a panic inside a handler surfaces as
 // a structured 500 JSON error, not a severed connection with an empty body.
 func TestHTTPPanicRecovered(t *testing.T) {
@@ -383,7 +415,7 @@ func TestDecodePlanPostMatchesStrictDecode(t *testing.T) {
 	}
 	p := string(plat)
 	bodies := []string{
-		`{"platform":` + p + `,"source":1,"revisedLP":true}`,
+		`{"platform":` + p + `,"source":1,"lpMaxIterations":500}`,
 		` { "source" : 1 , "trees" : 2 , "platform" : ` + p + ` } `,
 		`{"PLATFORM":` + p + `,"Source":2}`,
 		`{"platform":` + p + `,"platform":` + p + `}`,

@@ -98,13 +98,13 @@ type Config struct {
 	// avoid.
 	DegradedHeuristic string
 	// Steady is the base steady-state solver configuration applied to every
-	// request (per-request ColdLP/LPMaxIterations are layered on top).
+	// request (a per-request LPMaxIterations is layered on top).
 	Steady *steady.Options
-	// DisableSessions drops the warm solver session (master LP tableau and
+	// DisableSessions drops the warm solver session (master LP basis and
 	// cut pool) after each solve instead of retaining it on the cache entry.
 	// Delta requests then always re-derive a fresh session from the entry's
 	// platform snapshot. Use it for plan-only workloads — the sweep engine
-	// does — where retained tableaux would be dead weight.
+	// does — where retained masters would be dead weight.
 	DisableSessions bool
 	// Hooks, when non-nil, exposes engine-internal events to instrumentation
 	// (metrics exporters, the load harness's deterministic burst gate). A nil
@@ -215,8 +215,8 @@ type PlanRequest struct {
 	// Platform is the full platform to plan for.
 	Platform *platform.Platform `json:"platform,omitempty"`
 	// Base is the fingerprint (hex) of a previously planned platform; Deltas
-	// are applied to it in order. The base request's Source, Heuristic and
-	// LP options must be repeated for the cache key to resolve.
+	// are applied to it in order. The base request's Source, Heuristic,
+	// Trees and LPMaxIterations must be repeated for the cache key to resolve.
 	Base   string           `json:"base,omitempty"`
 	Deltas []platform.Delta `json:"deltas,omitempty"`
 	// BaseExact optionally pins the exact cached platform the Base
@@ -236,12 +236,6 @@ type PlanRequest struct {
 	// cap is generous; a tight cap truncates to the heaviest trees and
 	// reports the honest reduced throughput. Part of the cache identity.
 	Trees int `json:"trees,omitempty"`
-	// ColdLP disables warm starts inside the master LP solves.
-	ColdLP bool `json:"coldLP,omitempty"`
-	// RevisedLP routes the master LP solves through the revised-simplex
-	// solver (maintained LU basis; see steady.Options.Revised). Part of the
-	// cache identity. Ignored when ColdLP is set.
-	RevisedLP bool `json:"revisedLP,omitempty"`
 	// LPMaxIterations bounds the simplex pivots per master solve (0 = solver
 	// default).
 	LPMaxIterations int `json:"lpMaxIterations,omitempty"`
@@ -398,8 +392,6 @@ type Stats struct {
 type planParams struct {
 	source    int
 	heuristic string
-	coldLP    bool
-	revisedLP bool
 	maxIter   int
 	trees     int
 }
@@ -748,7 +740,7 @@ func TraceOutcome(res *PlanResult, err error) string {
 func traceIdentity(key cacheKey) [32]byte {
 	h := sha256.New()
 	h.Write(key.exact[:])
-	fmt.Fprintf(h, "|%d|%s|%t|%t|%d|%d", key.source, key.heuristic, key.coldLP, key.revisedLP, key.maxIter, key.trees)
+	fmt.Fprintf(h, "|%d|%s|%d|%d", key.source, key.heuristic, key.maxIter, key.trees)
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
 	return out
@@ -766,18 +758,12 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// steadyOptions layers the per-request LP knobs over the engine's base
+// steadyOptions layers the per-request pivot budget over the engine's base
 // solver configuration.
 func (e *Engine) steadyOptions(req PlanRequest) *steady.Options {
 	var opts steady.Options
 	if e.cfg.Steady != nil {
 		opts = *e.cfg.Steady
-	}
-	if req.ColdLP {
-		opts.ColdStart = true
-	}
-	if req.RevisedLP {
-		opts.Revised = true
 	}
 	if req.LPMaxIterations > 0 {
 		// Override only the pivot budget; any other LP tuning configured on
@@ -793,7 +779,7 @@ func (e *Engine) steadyOptions(req PlanRequest) *steady.Options {
 }
 
 func (req PlanRequest) params() planParams {
-	return planParams{source: req.Source, heuristic: req.Heuristic, coldLP: req.ColdLP, revisedLP: req.RevisedLP, maxIter: req.LPMaxIterations, trees: req.Trees}
+	return planParams{source: req.Source, heuristic: req.Heuristic, maxIter: req.LPMaxIterations, trees: req.Trees}
 }
 
 // Plan answers one plan request: from the cache when the platform has been
@@ -1462,8 +1448,6 @@ type EvaluateRequest struct {
 	Source   int                `json:"source"`
 	// Heuristics to evaluate (empty = every registered heuristic).
 	Heuristics      []string `json:"heuristics,omitempty"`
-	ColdLP          bool     `json:"coldLP,omitempty"`
-	RevisedLP       bool     `json:"revisedLP,omitempty"`
 	LPMaxIterations int      `json:"lpMaxIterations,omitempty"`
 }
 
@@ -1495,7 +1479,7 @@ func (e *Engine) EvaluateContext(ctx context.Context, req EvaluateRequest) (*Eva
 	if req.Platform == nil {
 		return nil, ErrNoPlatform
 	}
-	planReq := PlanRequest{Platform: req.Platform, Source: req.Source, ColdLP: req.ColdLP, RevisedLP: req.RevisedLP, LPMaxIterations: req.LPMaxIterations}
+	planReq := PlanRequest{Platform: req.Platform, Source: req.Source, LPMaxIterations: req.LPMaxIterations}
 	res, err := e.PlanContext(ctx, planReq)
 	if err != nil {
 		return nil, err

@@ -139,12 +139,12 @@ func TestPlanKeySeparatesOptionsAndSource(t *testing.T) {
 	if res.Cached {
 		t.Error("different heuristic must not hit the cache")
 	}
-	res, err = e.Plan(PlanRequest{Platform: p, Source: 0, ColdLP: true})
+	res, err = e.Plan(PlanRequest{Platform: p, Source: 0, LPMaxIterations: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cached {
-		t.Error("different LP mode must not hit the cache")
+		t.Error("different pivot budget must not hit the cache")
 	}
 }
 
@@ -170,7 +170,7 @@ func TestPlanDeltaPathWarmThenDerived(t *testing.T) {
 	if _, err := oracle.ApplyDelta(deltas[0]); err != nil {
 		t.Fatal(err)
 	}
-	want, err := steady.Solve(oracle, 0, &steady.Options{ColdStart: true})
+	want, err := steady.SolveReference(oracle, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPlanDeltaPathWarmThenDerived(t *testing.T) {
 	if _, err := oracle2.ApplyDelta(platform.Delta{Kind: platform.DeltaScaleLink, Link: 4, Factor: 2.5}); err != nil {
 		t.Fatal(err)
 	}
-	want2, err := steady.Solve(oracle2, 0, &steady.Options{ColdStart: true})
+	want2, err := steady.SolveReference(oracle2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestPlanDeltaChain(t *testing.T) {
 		if _, err := oracle.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		want, err := steady.Solve(oracle.Clone(), 0, &steady.Options{ColdStart: true})
+		want, err := steady.SolveReference(oracle.Clone(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestPlanDisableSessionsStillServesDeltas(t *testing.T) {
 	if _, err := oracle.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	want, err := steady.Solve(oracle, 0, &steady.Options{ColdStart: true})
+	want, err := steady.SolveReference(oracle, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestPlanDeltaBaseAmbiguousTwinsNeedExactKey(t *testing.T) {
 		if _, err := oracle.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		want, err := steady.Solve(oracle, 0, &steady.Options{ColdStart: true})
+		want, err := steady.SolveReference(oracle, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

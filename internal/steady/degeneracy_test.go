@@ -47,11 +47,11 @@ func (c poolCell) generate(tb testing.TB) *platform.Platform {
 	return p
 }
 
-// coldLPCells are the nine cells of the benchmark's cold-lp workload: cyclic
+// lpBoundCells are the nine cells of the benchmark's cold-lp workload: cyclic
 // and dense platforms whose masters are dual degenerate enough that, before
 // the dual phase was perturbed, 78 of their 87 master solves were cold
 // fallbacks.
-var coldLPCells = []poolCell{
+var lpBoundCells = []poolCell{
 	{"random-dense", 80, 0},
 	{"grid", 81, 0}, {"grid", 81, 3}, {"grid", 81, 1},
 	{"random-dense", 64, 0}, {"random-dense", 64, 1},
@@ -103,15 +103,15 @@ func assertCertified(t *testing.T, p *platform.Platform, source int, sol *steady
 // stalled on zero-length dual steps, the warm-disable latch turned every later
 // round cold, and the deadline canceled the solve. It must now solve well
 // inside the deadline with the first master solve as its only cold one, and
-// certify. (The lp.Incremental master cannot serve as its oracle: it runs
-// past 20 s on this instance; TestColdLPCellsSolveColdOnce compares the cell
-// where it is tractable.)
+// certify. (The dense reference cannot serve as its oracle: it pivots for over
+// two minutes on this instance and ends on a point lp.Solve refuses to certify;
+// TestColdLPCellsSolveColdOnce compares the cells where it is tractable.)
 func TestFormerKnownFailureGrid100SolvesInsideBenchDeadline(t *testing.T) {
 	c := poolCell{"grid", 100, 1}
 	p := c.generate(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
 	defer cancel()
-	sol, err := steady.NewSession(p, 0, &steady.Options{Revised: true}).ResolveContext(ctx)
+	sol, err := steady.NewSession(p, 0, nil).ResolveContext(ctx)
 	if err != nil {
 		t.Fatalf("%v under the benchmark's 1.5 s deadline: %v", c, err)
 	}
@@ -124,19 +124,19 @@ func TestFormerKnownFailureGrid100SolvesInsideBenchDeadline(t *testing.T) {
 // TestColdLPCellsSolveColdOnce is the no-fallback tier: on every cold-lp cell
 // of the benchmark and on the three n >= 128 cells past the old convergence
 // cliff, the revised master re-solves every round warm — one cold solve per
-// plan, the first — and the result certifies. tiers:224, the one cell the
-// dense lp.Incremental master finishes in half a second (the others take 1 to
-// over 20 s), is also compared with it, within 1e-6 (skipped with -short).
+// plan, the first — and the result certifies. The two cells the dense
+// reference (SolveReference) finishes in under a second (the others take 2 to
+// 14 s) are also compared with it, within 1e-6 (skipped with -short).
 func TestColdLPCellsSolveColdOnce(t *testing.T) {
-	cells := append([]poolCell{}, coldLPCells...)
+	cells := append([]poolCell{}, lpBoundCells...)
 	cells = append(cells, poolCell{"grid", 256, -1}, poolCell{"tiers", 256, -1}, poolCell{"random-sparse", 128, -1})
-	const denseTractable = "tiers:224#0"
+	denseTractable := map[string]bool{"grid:81#3": true, "random-dense:64#0": true}
 	for _, c := range cells {
 		c := c
 		t.Run(c.String(), func(t *testing.T) {
 			t.Parallel()
 			p := c.generate(t)
-			sol, err := steady.Solve(p, 0, &steady.Options{Revised: true})
+			sol, err := steady.Solve(p, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,15 +145,15 @@ func TestColdLPCellsSolveColdOnce(t *testing.T) {
 					sol.ColdSolves, sol.Rounds, sol.WarmPivots, sol.ColdPivots)
 			}
 			assertCertified(t, p, 0, sol, c.String())
-			if testing.Short() || c.String() != denseTractable {
+			if testing.Short() || !denseTractable[c.String()] {
 				return
 			}
-			dense, err := steady.Solve(p, 0, nil)
+			dense, err := steady.SolveReference(p, 0, nil)
 			if err != nil {
-				t.Fatalf("incremental master: %v", err)
+				t.Fatalf("dense reference: %v", err)
 			}
 			if rel := math.Abs(sol.Throughput-dense.Throughput) / math.Max(dense.Throughput, 1e-12); rel > 1e-6 {
-				t.Errorf("revised %v vs incremental %v (rel %v)", sol.Throughput, dense.Throughput, rel)
+				t.Errorf("revised %v vs dense reference %v (rel %v)", sol.Throughput, dense.Throughput, rel)
 			}
 		})
 	}

@@ -5,7 +5,7 @@
 // reference ("relative performance" denominator) for every STP heuristic,
 // and its per-edge message rates n(u,v) seed the LP-based heuristics.
 //
-// Two solvers are provided:
+// Two solvers are provided, and one oracle:
 //
 //   - Solve uses a cutting-plane decomposition: by max-flow/min-cut duality,
 //     the projection of LP (2) onto the edge rates n and the throughput TP
@@ -16,14 +16,13 @@
 //     bounded by the violation threshold it is compared with, on a
 //     session-owned network, so that a separation sweep allocates only for
 //     the cuts it adds (see "Cut separation" in docs/ARCHITECTURE.md). The
-//     master is held in one warm-started incremental solver (lp.Incremental)
-//     across rounds: after round one, each re-solve prices the newly
-//     separated cut rows into the previous optimal basis and re-optimizes
-//     with a few dual simplex pivots instead of rebuilding the tableau and
-//     re-pivoting from the slack basis. Options.ColdStart restores the
-//     historical re-solve-from-scratch behavior (it also serves as the
-//     differential-testing oracle), and the loop falls back to a cold solve
-//     on its own whenever a warm re-solve cannot be completed.
+//     master is held in one warm-started revised-simplex handle (lp.Revised)
+//     across rounds — and, in a Session, across platform mutations: after
+//     round one, each re-solve prices the newly separated cut rows into the
+//     previous optimal basis and re-optimizes with a few dual simplex pivots
+//     instead of re-pivoting from the slack basis; a warm re-solve that
+//     cannot be completed costs one cold solve. There is no other master and
+//     no option that selects one.
 //
 //   - SolveDirect encodes LP (2) directly (per-destination flow variables);
 //     its size grows as |E|·|V| so it is only practical for small platforms,
@@ -32,4 +31,10 @@
 //     all-zero right-hand sides), and the point is certified against the
 //     model before it is reported; a point that fails is ErrLPFailed, never
 //     a throughput.
+//
+//   - SolveReference is the differential oracle of the two: the same
+//     decomposition with the master re-solved from the slack basis on the
+//     dense simplex (lp.Solve) every round, nothing carried between rounds or
+//     calls. It is reachable from no request, configuration or flag; tests
+//     hold Solve, Session and the planning service to it within 1e-6.
 package steady

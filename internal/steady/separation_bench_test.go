@@ -42,7 +42,7 @@ func BenchmarkSeparationSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sol, err := steady.Solve(p, source, &steady.Options{Revised: true})
+		sol, err := steady.Solve(p, source, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,8 +37,7 @@ type sequenceCell struct {
 // TestSeparationSequenceGolden pins "same cut sequence": on every registry
 // family at its default sizes, plus the three separation-bound large cells,
 // the solver must reproduce the rounds, cuts, pivots and throughput bits
-// captured before the separation kernel was rebuilt. Source 0, seed 7; the
-// revised master everywhere, the dense master at the default sizes only.
+// captured before the separation kernel was rebuilt. Source 0, seed 7.
 func TestSeparationSequenceGolden(t *testing.T) {
 	const (
 		source = 0
@@ -47,18 +46,17 @@ func TestSeparationSequenceGolden(t *testing.T) {
 	type cell struct {
 		family string
 		size   int
-		dense  bool
 	}
 	var cells []cell
 	for _, s := range scenarios.All() {
 		for _, size := range s.DefaultSizes {
-			cells = append(cells, cell{s.Name, size, true})
+			cells = append(cells, cell{s.Name, size})
 		}
 	}
 	cells = append(cells,
-		cell{scenarios.NameRing, 256, false},
-		cell{scenarios.NameChain, 512, false},
-		cell{scenarios.NameClusters, 512, false},
+		cell{scenarios.NameRing, 256},
+		cell{scenarios.NameChain, 512},
+		cell{scenarios.NameClusters, 512},
 	)
 
 	var got []sequenceCell
@@ -71,25 +69,19 @@ func TestSeparationSequenceGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s:%d: generate: %v", c.family, c.size, err)
 		}
-		masters := []string{"revised"}
-		if c.dense {
-			masters = append(masters, "dense")
+		sol, err := steady.Solve(p, source, nil)
+		if err != nil {
+			t.Fatalf("%s:%d: %v", c.family, c.size, err)
 		}
-		for _, m := range masters {
-			sol, err := steady.Solve(p, source, &steady.Options{Revised: m == "revised"})
-			if err != nil {
-				t.Fatalf("%s:%d %s: %v", c.family, c.size, m, err)
-			}
-			got = append(got, sequenceCell{
-				Cell:           fmt.Sprintf("%s:%d", c.family, c.size),
-				Master:         m,
-				Rounds:         sol.Rounds,
-				Cuts:           sol.Cuts,
-				WarmPivots:     sol.WarmPivots,
-				ColdPivots:     sol.ColdPivots,
-				ThroughputBits: fmt.Sprintf("%016x", math.Float64bits(sol.Throughput)),
-			})
-		}
+		got = append(got, sequenceCell{
+			Cell:           fmt.Sprintf("%s:%d", c.family, c.size),
+			Master:         "revised",
+			Rounds:         sol.Rounds,
+			Cuts:           sol.Cuts,
+			WarmPivots:     sol.WarmPivots,
+			ColdPivots:     sol.ColdPivots,
+			ThroughputBits: fmt.Sprintf("%016x", math.Float64bits(sol.Throughput)),
+		})
 	}
 
 	path := filepath.Join("testdata", "golden", "separation_sequence.json")

@@ -14,12 +14,12 @@ import (
 )
 
 // Session carries the cutting-plane state of one (platform, source) pair
-// across platform mutations: the warm-started incremental master LP
-// (lp.Incremental) and an accumulated pool of separated cuts, stored as
-// node-partition sides so they can be re-materialized after the link set
-// changes. The platform is shared with the caller, who mutates it through
-// platform.ApplyDelta between Resolve calls; the session diffs the mutation
-// journal to decide how much of the previous master survives:
+// across platform mutations: the warm-started master LP (lp.Revised) and an
+// accumulated pool of separated cuts, stored as node-partition sides so they
+// can be re-materialized after the link set changes. The platform is shared
+// with the caller, who mutates it through platform.ApplyDelta between Resolve
+// calls; the session diffs the mutation journal to decide how much of the
+// previous master survives:
 //
 //   - Tightening deltas (link degradations, link failures) only shrink the
 //     LP's feasible region, so the master is reused: refreshed one-port
@@ -28,8 +28,8 @@ import (
 //     every existing cut row remains valid.
 //
 //   - Loosening deltas (link speed-ups, link revivals, node crashes and
-//     rejoins) invalidate rows that cannot be retracted from the tableau, so
-//     the master is rebuilt — but seeded with the accumulated cut pool
+//     rejoins) invalidate rows that cannot be retracted from the master, so
+//     it is rebuilt — but seeded with the accumulated cut pool
 //     (filtered to partitions that still separate an alive destination),
 //     which typically lets the cutting-plane loop converge in one or two
 //     rounds instead of re-separating every cut from scratch. (A node crash
@@ -38,23 +38,18 @@ import (
 //     so crashes must take the rebuild path where such cuts are filtered
 //     out.)
 //
-// Options.ColdStart disables both reuses: every Resolve then rebuilds the
-// master and re-solves it from scratch each round, which serves as the
-// differential-testing oracle for the warm paths (the same pattern as the
-// per-round cold start of Solve).
+// SolveReference is the differential-testing oracle for both reuses: it
+// builds the master of the platform's current state from nothing and
+// re-solves it from scratch on the dense simplex every round.
 type Session struct {
 	p      *platform.Platform
 	source int
 	opts   *Options
 
 	// Master LP state. problem always holds the complete row set of the
-	// current master; inc prices appended rows into the previous basis
-	// (nil in ColdStart mode, where every round re-solves from scratch).
-	// Options.Revised selects which warm solver backs the handle: the dense
-	// incremental tableau (lp.Incremental, the oracle) or the revised
-	// simplex with a maintained basis factorization (lp.Revised).
+	// current master; rev prices appended rows into the previous basis.
 	problem *lp.Problem
-	inc     master
+	rev     *lp.Revised
 	seen    map[string]struct{} // packed link sets (packCut) of the master's cut rows
 	cutSeq  int                 // monotone row counter driving the anti-degeneracy RHS perturbation
 	times   []float64           // per-link slice times priced into the current master
@@ -68,7 +63,6 @@ type Session struct {
 	sep *separator
 
 	journalLen int
-	started    bool
 	stats      SessionStats
 }
 
@@ -95,12 +89,13 @@ type SessionStats struct {
 	PoolReused int
 }
 
-// master is the warm-solver seam of the session: both lp.Incremental and
-// lp.Revised satisfy it with identical warm/cold/cancellation semantics, so
-// the cutting-plane loop and the pivot accounting are solver-agnostic.
+// master is what the cutting-plane loop asks of a master LP solver: re-solve
+// the session's problem over every row appended so far, and account for the
+// pivots. lp.Revised is the production implementor; the only other one is the
+// dense cold re-solve of SolveReference.
 type master interface {
 	SolveContext(ctx context.Context) (*lp.Solution, error)
-	Stats() lp.IncrementalStats
+	Stats() lp.SolveStats
 }
 
 // NewSession returns a session over the platform. Nothing is solved until
@@ -139,12 +134,12 @@ func (s *Session) ResolveContext(ctx context.Context) (*Solution, error) {
 	if p.NumAliveNodes() == 1 {
 		// A lone alive source broadcasts at unbounded rate; drop the master
 		// so a later rejoin rebuilds from the pool.
-		s.inc, s.problem, s.started = nil, nil, false
+		s.dropMaster()
 		return &Solution{Throughput: math.Inf(1), UpperBound: math.Inf(1), EdgeRate: make([]float64, p.NumLinks())}, nil
 	}
 
 	s.refreshSeparator()
-	warm := s.started && s.inc != nil && !s.opts.coldStart()
+	warm := s.rev != nil
 	for _, d := range deltas {
 		if !d.Tightening() {
 			warm = false
@@ -199,14 +194,28 @@ func (s *Session) warmResolve(ctx context.Context, deltas []platform.Delta) (*So
 		}
 		s.appendOccupationRows(u)
 	}
-	return s.runLoop(ctx)
+	return s.runLoop(ctx, s.rev)
 }
 
-// rebuild constructs a fresh master over the platform's current live state,
-// seeded with the initial cuts and the still-valid part of the cut pool,
+// rebuild constructs a fresh master over the platform's current live state
 // and runs the cutting-plane loop on it.
 func (s *Session) rebuild(ctx context.Context) (*Solution, error) {
 	s.stats.Rebuilds++
+	s.buildProblem()
+	s.rev = lp.NewRevised(s.problem, s.opts.lpOptions())
+	return s.runLoop(ctx, s.rev)
+}
+
+// dropMaster leaves the session without a master, so the next Resolve
+// rebuilds one; the cut pool survives and seeds that rebuild.
+func (s *Session) dropMaster() {
+	s.rev, s.problem = nil, nil
+}
+
+// buildProblem writes the master problem of the platform's current live
+// state: the one-port occupation rows, the initial cuts and the still-valid
+// part of the cut pool.
+func (s *Session) buildProblem() {
 	p := s.p
 	e := p.NumLinks()
 	tpVar := e
@@ -267,17 +276,6 @@ func (s *Session) rebuild(ctx context.Context) (*Solution, error) {
 			s.stats.PoolReused++
 		}
 	}
-
-	switch {
-	case s.opts.coldStart():
-		s.inc = nil
-	case s.opts.revised():
-		s.inc = lp.NewRevised(s.problem, s.opts.lpOptions())
-	default:
-		s.inc = lp.NewIncremental(s.problem, s.opts.lpOptions())
-	}
-	s.started = true
-	return s.runLoop(ctx)
 }
 
 // appendOccupationRows appends the node's current one-port occupation rows
@@ -431,51 +429,31 @@ func unpackSide(packed string, side []bool) {
 	}
 }
 
-// runLoop runs the cutting-plane loop on the session's current master: solve
+// runLoop runs the cutting-plane loop on the session's current problem: solve
 // the master, separate violated cuts with one max-flow per alive
 // destination, append them, repeat until no cut is violated or the
 // upper/lower-bound gap closes. The returned Solution reports the pivots and
 // master solves of this Resolve only.
-func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
+func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 	p, source, opts := s.p, s.source, s.opts
 	n, e := p.NumNodes(), p.NumLinks()
 	tpVar := e
-	lpOpts := opts.lpOptions()
 	sep := s.sep
 	nw := sep.nw
 
 	sol := &Solution{EdgeRate: make([]float64, e)}
 	tol := opts.tolerance()
-	var incStart lp.IncrementalStats
-	if s.inc != nil {
-		incStart = s.inc.Stats()
-	}
-	coldRounds := 0
+	before := m.Stats()
 	solveMaster := func() (*lp.Solution, error) {
 		start := time.Now()
 		defer func() { sol.LPWallNanos += time.Since(start).Nanoseconds() }()
-		if s.inc != nil {
-			return s.inc.SolveContext(ctx)
-		}
-		coldRounds++
-		return lp.SolveContext(ctx, s.problem, lpOpts)
-	}
-	// dropMaster marks the session cold after a canceled solve: the
-	// partially pivoted master must never seed a warm basis, but the cut
-	// pool stays valid and seeds the next rebuild.
-	dropMaster := func() {
-		s.inc, s.problem, s.started = nil, nil, false
+		return m.SolveContext(ctx)
 	}
 	finalize := func() {
-		if s.inc != nil {
-			st := s.inc.Stats()
-			sol.WarmPivots = st.WarmPivots - incStart.WarmPivots
-			sol.ColdPivots = st.ColdPivots - incStart.ColdPivots
-			sol.ColdSolves = st.ColdSolves - incStart.ColdSolves
-		} else {
-			sol.ColdPivots = sol.LPIterations
-			sol.ColdSolves = coldRounds
-		}
+		st := m.Stats()
+		sol.WarmPivots = st.WarmPivots - before.WarmPivots
+		sol.ColdPivots = st.ColdPivots - before.ColdPivots
+		sol.ColdSolves = st.ColdSolves - before.ColdSolves
 		s.stats.Rounds += sol.Rounds
 		s.stats.WarmPivots += sol.WarmPivots
 		s.stats.ColdPivots += sol.ColdPivots
@@ -485,7 +463,9 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 
 	for round := 1; round <= opts.maxRounds(); round++ {
 		if ctx != nil && ctx.Err() != nil {
-			dropMaster()
+			// A canceled resolve leaves the session cold: the partially
+			// pivoted master must never seed a warm basis.
+			s.dropMaster()
 			finalize()
 			return nil, fmt.Errorf("steady: resolve canceled: %w: %v", lp.ErrCanceled, ctx.Err())
 		}
@@ -497,7 +477,7 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 				// Wrap with %w so callers can still match lp.ErrCanceled;
 				// deliberately NOT ErrLPFailed — nothing failed, the caller's
 				// deadline expired.
-				dropMaster()
+				s.dropMaster()
 				return nil, fmt.Errorf("steady: resolve canceled: %w", err)
 			}
 			return nil, fmt.Errorf("%w: %v", ErrLPFailed, err)

@@ -1,6 +1,7 @@
 package steady
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -35,15 +36,14 @@ type Solution struct {
 	// and cold solves from the slack basis.
 	WarmPivots int
 	ColdPivots int
-	// ColdSolves is the number of master solves that ran from a cold
-	// tableau: 1 for a fully warm-started run (plus any fallback), one per
-	// round for the cold-start path, and 1 for SolveDirect.
+	// ColdSolves is the number of master solves that ran from the slack
+	// basis: 1 for a fully warm-started run (plus any fallback), one per
+	// round for SolveReference, and 1 for SolveDirect.
 	ColdSolves int
 	// LPWallNanos is the wall-clock time spent inside master LP solves
 	// during this resolve, excluding cut separation (the per-destination
 	// max-flows) and everything else around the cutting-plane loop. It
-	// exists for the solver benchmarks (BENCH_lp.json compares the dense
-	// and revised masters on LP cost alone) and is never marshaled into the
+	// exists for the solver benchmarks and is never marshaled into the
 	// deterministic reports.
 	LPWallNanos int64
 	// SepWallNanos is the wall-clock time spent separating cuts during this
@@ -80,21 +80,6 @@ type Options struct {
 	GapTolerance float64
 	// LP are the options passed to the simplex solver.
 	LP *lp.Options
-	// ColdStart disables the warm-started incremental master: every
-	// cutting-plane round then re-solves the master LP from a fresh tableau,
-	// as the solver did before warm starts existed. The cold path is kept as
-	// a fallback and as a differential-testing oracle; the warm-started
-	// default produces the same throughput (up to LP degeneracy) with far
-	// fewer simplex pivots once the master accumulates cuts.
-	ColdStart bool
-	// Revised selects the revised-simplex master (lp.Revised): sparse
-	// columns and a maintained LU basis factorization instead of the dense
-	// tableau, making per-pivot cost nearly independent of the accumulated
-	// cut count. Semantics (warm re-optimization across appended cuts and
-	// churn deltas, cancellation, fallbacks) are identical to the default
-	// incremental master, which remains the differential oracle; large
-	// sweeps (n ≳ 256) should set this. Ignored when ColdStart is set.
-	Revised bool
 }
 
 func (o *Options) maxRounds() int {
@@ -131,10 +116,6 @@ func (o *Options) lpOptions() *lp.Options {
 	return &lp.Options{MaxIterations: 30000}
 }
 
-func (o *Options) coldStart() bool { return o != nil && o.ColdStart }
-
-func (o *Options) revised() bool { return o != nil && o.Revised }
-
 // Errors returned by the solvers.
 var (
 	ErrNoConvergence = errors.New("steady: cutting-plane solver did not converge")
@@ -154,6 +135,45 @@ func Solve(p *platform.Platform, source int, opts *Options) (*Solution, error) {
 	return NewSession(p, source, opts).Resolve()
 }
 
+// SolveReference is the differential oracle of the cutting-plane solver: the
+// same decomposition over the platform's current live state, with the master
+// LP re-solved from the slack basis on the dense simplex (lp.Solve) every
+// round — no warm start, no basis factorization, no cut pool, nothing carried
+// from an earlier call. It shares the separation with Session but none of the
+// LP code lp.Revised runs, so the two agreeing within 1e-6 is evidence for
+// both. Every pivot rewrites the whole tableau and every round starts over:
+// it is for tests and one-off cross-checks, not for serving.
+func SolveReference(p *platform.Platform, source int, opts *Options) (*Solution, error) {
+	if err := p.ValidateLive(source); err != nil {
+		return nil, err
+	}
+	if p.NumAliveNodes() == 1 {
+		return &Solution{Throughput: math.Inf(1), UpperBound: math.Inf(1), EdgeRate: make([]float64, p.NumLinks())}, nil
+	}
+	s := NewSession(p, source, opts)
+	s.refreshSeparator()
+	s.buildProblem()
+	return s.runLoop(context.Background(), &denseCold{problem: s.problem, opts: opts.lpOptions()})
+}
+
+// denseCold is the master of SolveReference: every solve is a cold dense one.
+type denseCold struct {
+	problem *lp.Problem
+	opts    *lp.Options
+	stats   lp.SolveStats
+}
+
+func (m *denseCold) SolveContext(ctx context.Context) (*lp.Solution, error) {
+	sol, err := lp.SolveContext(ctx, m.problem, m.opts)
+	if err == nil {
+		m.stats.ColdSolves++
+		m.stats.ColdPivots += sol.Iterations
+	}
+	return sol, err
+}
+
+func (m *denseCold) Stats() lp.SolveStats { return m.stats }
+
 // SolveDirect encodes LP (2) of the paper directly: per-destination flow
 // variables x^w_e, edge rates n_e and the throughput TP. It is exponential
 // in neither |V| nor |E| but has |V|·|E| variables and as many rows, so it
@@ -172,11 +192,39 @@ func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, er
 	if err := p.Validate(source); err != nil {
 		return nil, err
 	}
-	n := p.NumNodes()
 	e := p.NumLinks()
-	if n == 1 {
+	if p.NumNodes() == 1 {
 		return &Solution{Throughput: math.Inf(1), UpperBound: math.Inf(1), EdgeRate: make([]float64, e), Rounds: 1}, nil
 	}
+
+	problem, nVar0, tpVar := directProblem(p, source)
+	lpSol, err := lp.NewRevised(problem, opts.lpOptions()).Solve()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrLPFailed, err)
+	}
+	if lpSol.Status != lp.Optimal {
+		return nil, fmt.Errorf("%w: status %v", ErrLPFailed, lpSol.Status)
+	}
+	sol := &Solution{
+		Throughput:   lpSol.X[tpVar],
+		UpperBound:   lpSol.X[tpVar],
+		EdgeRate:     append([]float64(nil), lpSol.X[nVar0:nVar0+e]...),
+		Rounds:       1,
+		LPIterations: lpSol.Iterations,
+		ColdPivots:   lpSol.Iterations,
+		ColdSolves:   1,
+	}
+	if err := certifyDirect(p, source, sol); err != nil {
+		return nil, fmt.Errorf("%w: simplex returned an infeasible point as optimal: %v", ErrLPFailed, err)
+	}
+	return sol, nil
+}
+
+// directProblem writes LP (2) for a platform of at least two nodes. The edge
+// rate n_e of link e is variable nVar0+e, the throughput TP variable tpVar.
+func directProblem(p *platform.Platform, source int) (problem *lp.Problem, nVar0, tpVar int) {
+	n := p.NumNodes()
+	e := p.NumLinks()
 
 	// Destinations in increasing node order.
 	dests := make([]int, 0, n-1)
@@ -189,9 +237,10 @@ func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, er
 
 	// Variable layout: x[wIdx][e] at wIdx*e + e, then n_e, then TP.
 	xVar := func(wIdx, linkID int) int { return wIdx*e + linkID }
-	nVar := func(linkID int) int { return numDest*e + linkID }
-	tpVar := numDest*e + e
-	problem := lp.NewProblem(tpVar + 1)
+	nVar0 = numDest * e
+	nVar := func(linkID int) int { return nVar0 + linkID }
+	tpVar = nVar0 + e
+	problem = lp.NewProblem(tpVar + 1)
 	problem.SetObjectiveCoeff(tpVar, 1)
 
 	// Flow conservation per destination and node.
@@ -248,29 +297,7 @@ func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, er
 		}
 	}
 
-	lpSol, err := lp.NewRevised(problem, opts.lpOptions()).Solve()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrLPFailed, err)
-	}
-	if lpSol.Status != lp.Optimal {
-		return nil, fmt.Errorf("%w: status %v", ErrLPFailed, lpSol.Status)
-	}
-	sol := &Solution{
-		Throughput:   lpSol.X[tpVar],
-		UpperBound:   lpSol.X[tpVar],
-		EdgeRate:     make([]float64, e),
-		Rounds:       1,
-		LPIterations: lpSol.Iterations,
-		ColdPivots:   lpSol.Iterations,
-		ColdSolves:   1,
-	}
-	for id := 0; id < e; id++ {
-		sol.EdgeRate[id] = lpSol.X[nVar(id)]
-	}
-	if err := certifyDirect(p, source, sol); err != nil {
-		return nil, fmt.Errorf("%w: simplex returned an infeasible point as optimal: %v", ErrLPFailed, err)
-	}
-	return sol, nil
+	return problem, nVar0, tpVar
 }
 
 // certifyDirect checks a SolveDirect point against the model rather than

@@ -215,8 +215,8 @@ func TestCuttingPlaneMatchesDirectOnRandomPlatforms(t *testing.T) {
 }
 
 // TestWarmStartMatchesColdStart is the core differential test of the
-// incremental master: on random and hierarchical platforms, the warm-started
-// default and the cold-start oracle must agree on the throughput, and both
+// warm-started master: on random and hierarchical platforms, Solve and the
+// cold dense oracle (SolveReference) must agree on the throughput, and both
 // must report consistent pivot accounting.
 func TestWarmStartMatchesColdStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -239,7 +239,7 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("platform %d: warm: %v", i, err)
 		}
-		cold, err := Solve(p, 0, &Options{ColdStart: true})
+		cold, err := SolveReference(p, 0, nil)
 		if err != nil {
 			t.Fatalf("platform %d: cold: %v", i, err)
 		}
@@ -267,7 +267,7 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 
 // TestWarmStartReducesPivots checks the point of the exercise: on a
 // hierarchical platform accumulating dozens of cuts, the warm-started master
-// needs at most half the simplex pivots of the cold-start path.
+// needs at most half the simplex pivots of the cold dense reference.
 func TestWarmStartReducesPivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p, err := topology.Tiers(topology.Tiers65(), rng)
@@ -278,7 +278,7 @@ func TestWarmStartReducesPivots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Solve(p, 0, &Options{ColdStart: true})
+	cold, err := SolveReference(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,13 +298,15 @@ func TestIterationLimitedMasterSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cold := range []bool{false, true} {
-		sol, err := Solve(p, 0, &Options{ColdStart: cold, LP: &lp.Options{MaxIterations: 1}})
+	for name, solve := range map[string]func(*platform.Platform, int, *Options) (*Solution, error){
+		"Solve": Solve, "SolveReference": SolveReference,
+	} {
+		sol, err := solve(p, 0, &Options{LP: &lp.Options{MaxIterations: 1}})
 		if err == nil {
-			t.Fatalf("cold=%v: 1-pivot budget returned nil error (throughput %v)", cold, sol.Throughput)
+			t.Fatalf("%s: 1-pivot budget returned nil error (throughput %v)", name, sol.Throughput)
 		}
 		if !errors.Is(err, ErrLPFailed) {
-			t.Fatalf("cold=%v: error %v, want ErrLPFailed", cold, err)
+			t.Fatalf("%s: error %v, want ErrLPFailed", name, err)
 		}
 	}
 	// Budgets large enough for a feasible phase-2 point but too small to
