@@ -54,10 +54,11 @@ func TestReplayTraceDeterminismAcrossWorkers(t *testing.T) {
 				_, _, _, dump := replayTraced(t, tc.mix, tc.seed, workers)
 				if ref == nil {
 					ref = dump
-					// The separation flow count is on the deterministic side
-					// of the solve span, the separation wall is not.
-					if !bytes.Contains(dump, []byte(`"flows"`)) || bytes.Contains(dump, []byte(`"sepNs"`)) {
-						t.Fatalf("dump should carry solve-span flow counts and no separation wall:\n%s", dump)
+					// The separation counts (fresh flows, chain-certified
+					// destinations) are on the deterministic side of the
+					// solve span, the separation wall is not.
+					if !bytes.Contains(dump, []byte(`"flows"`)) || !bytes.Contains(dump, []byte(`"certified"`)) || bytes.Contains(dump, []byte(`"sepNs"`)) {
+						t.Fatalf("dump should carry solve-span separation counts and no separation wall:\n%s", dump)
 					}
 					// Likewise the packing: rounds and pivots are counts, its
 					// wall is a wall.
@@ -109,7 +110,7 @@ func TestReplayTraceContents(t *testing.T) {
 			if ev.TNs != 0 || ev.DurNs != 0 || ev.SepNs != 0 || ev.PackNs != 0 {
 				t.Fatalf("deterministic trace %s event stamped with wall clock: %+v", tr.ID, ev)
 			}
-			if ev.Kind == obs.SpanSolve && ev.Err == "" && ev.Flows <= 0 {
+			if ev.Kind == obs.SpanSolve && ev.Err == "" && ev.Flows+ev.Certified <= 0 {
 				t.Fatalf("deterministic trace %s: solve span without its separation flow count: %+v", tr.ID, ev)
 			}
 			// Every solve of the overload mix is a cold plan on a healthy

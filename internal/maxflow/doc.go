@@ -6,8 +6,11 @@
 // min-cut duality is equivalent to every source-destination cut having
 // capacity at least TP.
 //
-// The solver runs one flow per destination per cutting-plane round, so the
-// kernel is built for that loop:
+// The solver decides every destination every cutting-plane round — one
+// chained flow, moved from destination to destination, certifies the ones
+// whose cuts all hold, and a fresh bounded flow per remaining destination
+// finds the minimum cuts of the violated ones — so the kernel is built for
+// that loop:
 //
 //   - The residual network is a pair of arc arrays (arc 2k is user edge k,
 //     arc 2k+1 its reverse) under a CSR adjacency index that lists each
@@ -29,6 +32,14 @@
 //     one — so a result below the bound is the exact maximum flow with valid
 //     minimum cuts, and any other result is the bound itself. Minimum cuts
 //     are refused (panic) after a flow that stopped on its bound.
+//   - Reroute moves the sink of the flow the network holds: it pushes
+//     exactly an amount more from the old sink to a new one, with the same
+//     phases and the last augmentation capped to land on the amount (an
+//     overshoot would have to come from the old sink, which holds only what
+//     it was sent). A source-to-prev flow plus a prev-to-w flow of the same
+//     value in its residual network is a source-to-w flow of that value, so
+//     one flow certifies a whole sequence of sinks; minimum cuts are refused
+//     after a Reroute.
 //   - Nothing on the flow path allocates once the handle is warm: queue,
 //     labels and path are handle-owned, Reset undoes only the edges the
 //     flows since the previous Reset pushed through, and the

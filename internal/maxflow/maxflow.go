@@ -42,8 +42,9 @@ type Network struct {
 	touched []int32 // edges carrying flow since the last Reset
 	dirty   []bool  // edge -> listed in touched
 
-	// truncated is set by a flow that stopped on its bound: the residual
-	// network is then not that of a maximum flow and holds no minimum cut.
+	// truncated is set by a flow that stopped on its bound, and by Reroute:
+	// the residual network is then not that of a maximum flow and holds no
+	// minimum cut.
 	truncated bool
 }
 
@@ -193,8 +194,10 @@ func (nw *Network) labelFromSink(s, t int32) bool {
 // are tried in CSR order from its iter slot; after an augmentation the
 // search resumes at the tail of the first arc the push saturated, since a
 // restart from s would only walk the untouched prefix of the path again. It
-// stops early, reporting true, once total reaches limit.
-func (nw *Network) blockingFlow(s, t int32, total, limit float64) (float64, bool) {
+// stops early, reporting true, once total reaches limit. With exact set, an
+// augmentation that would carry total past limit is shrunk to land on it and
+// is the last one.
+func (nw *Network) blockingFlow(s, t int32, total, limit float64, exact bool) (float64, bool) {
 	level, iter, first, adj, rcap, to := nw.level, nw.iter, nw.first, nw.adj, nw.rcap, nw.to
 	path := nw.path[:0]
 	u := s
@@ -207,6 +210,10 @@ func (nw *Network) blockingFlow(s, t int32, total, limit float64) (float64, bool
 				if c := rcap[a]; c < d {
 					d = c
 				}
+			}
+			capped := exact && total+d > limit
+			if capped {
+				d = limit - total
 			}
 			cut := len(path)
 			for k := len(path) - 1; k >= 0; k-- {
@@ -222,7 +229,7 @@ func (nw *Network) blockingFlow(s, t int32, total, limit float64) (float64, bool
 				}
 			}
 			total += d
-			if total >= limit {
+			if capped || total >= limit {
 				return total, true
 			}
 			u = to[path[cut]^1]
@@ -290,13 +297,67 @@ func (nw *Network) MaxFlowBounded(s, t int, limit float64) float64 {
 	var total float64
 	for nw.labelFromSink(int32(s), int32(t)) {
 		var stop bool
-		if total, stop = nw.blockingFlow(int32(s), int32(t), total, limit); stop {
+		if total, stop = nw.blockingFlow(int32(s), int32(t), total, limit, false); stop {
 			nw.truncated = true
 			return limit
 		}
 	}
 	return total
 }
+
+// Reroute pushes exactly amount more flow from `from` to `to` on top of the
+// flow already routed, and reports whether the residual network could carry
+// it. It runs MaxFlowBounded's sink-labelled phases, except that the last
+// augmentation is shrunk to land on amount and the search ends the moment it
+// does: flow pushed past amount would have to come from `from` itself, which
+// holds only what it was sent.
+//
+// Reroute moves the sink of a flow. If the network holds a flow of value F
+// from s to `from` and Reroute(from, to, F) succeeds, it holds a flow of
+// value F from s to `to` — the sum of two flows, the second one routed in
+// the residual network of the first. Conversely, when some s-to flow has
+// value at least F, scaling it down to F and subtracting the held flow
+// leaves a from-to flow of value F in that residual network, so Reroute
+// finds one (up to round-off and the eps floor on residual arcs, which can
+// hide slivers of the held flow from the search). After a failure the
+// network holds a maximum from-to flow on top of the previous one, a state
+// that is no flow of anything useful: Reset before the next flow.
+//
+// A search that runs dry within rerouteRoundoff of amount also succeeds. An
+// amount <= 0, or from == to, succeeds with nothing pushed; a NaN amount
+// fails. Either way the residual network is not that of a maximum flow, so
+// the MinCut methods panic until the next Reset.
+func (nw *Network) Reroute(from, to int, amount float64) bool {
+	if from < 0 || from >= nw.n || to < 0 || to >= nw.n {
+		panic(fmt.Sprintf("maxflow: reroute (%d, %d) out of range [0, %d)", from, to, nw.n))
+	}
+	nw.truncated = true
+	switch {
+	case math.IsNaN(amount):
+		return false
+	case amount <= 0 || from == to:
+		return true
+	}
+	if !nw.built {
+		nw.build()
+	}
+	var total float64
+	for nw.labelFromSink(int32(from), int32(to)) {
+		var done bool
+		if total, done = nw.blockingFlow(int32(from), int32(to), total, amount, true); done {
+			return true
+		}
+	}
+	return total >= amount*(1-rerouteRoundoff)
+}
+
+// rerouteRoundoff is the relative shortfall at which Reroute still succeeds
+// once the residual network runs dry: the flow a previous Reroute delivered
+// is the float sum of its augmentations, which can land a few ulps below
+// its amount (0.1 + (1.95 − 0.1) < 1.95), and when `from` can only pass on
+// what it received that is all there is to move. 1e-13 is about 450 ulps;
+// a chain of k hops gives up at most k·1e-13 of its value this way.
+const rerouteRoundoff = 1e-13
 
 // MinCutSourceSide returns, after MaxFlow(s, t), the set of nodes reachable
 // from s in the residual network. The edges leaving this set form a minimum
@@ -374,7 +435,7 @@ func (nw *Network) MinCutSinkSideInto(t int, side []bool) []bool {
 // a wrong answer instead of a crash, and makes sure the CSR index exists.
 func (nw *Network) beforeCut() {
 	if nw.truncated {
-		panic("maxflow: minimum cut requested after a flow that stopped on its bound")
+		panic("maxflow: minimum cut requested after a flow that stopped on its bound or a Reroute")
 	}
 	if !nw.built {
 		nw.build()

@@ -90,12 +90,14 @@ type Event struct {
 	// healthy cold plan reads 1 (the first solve) and a warm delta 0;
 	// anything larger is a warm re-solve that stalled and fell back.
 	ColdSolves int `json:"coldSolves,omitempty"`
-	// Solve: the max-flows cut separation ran (one per alive destination per
-	// round), and the wall-clock time separation took — the solve's other
-	// large stage besides the master LP. Like DurNs, SepNs is set only on
-	// WallClock traces.
-	Flows int   `json:"flows,omitempty"`
-	SepNs int64 `json:"sepNs,omitempty"`
+	// Solve: the fresh max-flows cut separation ran, the destinations its
+	// chained flow certified instead (every round decides each alive
+	// destination once, by one or the other), and the wall-clock time
+	// separation took — the solve's other large stage besides the master
+	// LP. Like DurNs, SepNs is set only on WallClock traces.
+	Flows     int   `json:"flows,omitempty"`
+	Certified int   `json:"certified,omitempty"`
+	SepNs     int64 `json:"sepNs,omitempty"`
 	// Solve, when the plan asked for trees: the restricted-master solves and
 	// simplex pivots of the tree packing that followed the resolve, and the
 	// packing's wall-clock time — beside DurNs, which times the resolve

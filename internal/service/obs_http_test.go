@@ -87,7 +87,7 @@ func TestHTTPTraceHeaderAndEndpoint(t *testing.T) {
 		// A solve span says where its time went: the separation wall sits
 		// inside the span's own duration.
 		for _, ev := range tr.Events {
-			if ev.Kind == obs.SpanSolve && (ev.Flows <= 0 || ev.SepNs <= 0 || ev.SepNs > ev.DurNs) {
+			if ev.Kind == obs.SpanSolve && (ev.Flows+ev.Certified <= 0 || ev.SepNs <= 0 || ev.SepNs > ev.DurNs) {
 				t.Fatalf("WallClock solve span without a separation stage: %+v", ev)
 			}
 			if ev.Kind == obs.SpanSolve && ev.ColdSolves != 1 {
@@ -211,6 +211,7 @@ func TestHTTPPrometheusMetrics(t *testing.T) {
 		"bcast_refine_failures_total", "bcast_solves_total", "bcast_delta_plans_total",
 		"bcast_warm_resolves_total", "bcast_session_rebuilds_total",
 		"bcast_lp_pivots_total", "bcast_lp_warm_pivots_total", "bcast_lp_cold_pivots_total",
+		"bcast_separation_maxflows_total", "bcast_separation_certified_total",
 		"bcast_churn_runs_total", "bcast_cache_entries", "bcast_cache_capacity",
 		"bcast_workers", "bcast_queue_depth",
 		"bcast_solve_latency_seconds", "bcast_queue_wait_seconds", "bcast_refine_latency_seconds",

@@ -40,6 +40,8 @@ func PromText(e *Engine, m *Metrics) string {
 	counter("bcast_lp_pivots_total", "Simplex pivots across all solves.", s.LPPivots)
 	counter("bcast_lp_warm_pivots_total", "Warm-start simplex pivots across all solves.", s.LPWarmPivots)
 	counter("bcast_lp_cold_pivots_total", "Cold-start simplex pivots across all solves.", s.LPColdPivots)
+	counter("bcast_separation_maxflows_total", "Fresh cut-separation max-flows across all solves.", s.SepMaxFlows)
+	counter("bcast_separation_certified_total", "Destinations the chained separation flow certified across all solves.", s.SepCertified)
 	counter("bcast_churn_runs_total", "Churn-replay requests.", s.ChurnRuns)
 	r.Gauge("bcast_cache_entries", "Cached plans.", float64(s.CacheEntries))
 	r.Gauge("bcast_cache_capacity", "Configured cache capacity.", float64(s.CacheCapacity))

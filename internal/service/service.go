@@ -378,6 +378,10 @@ type Stats struct {
 	LPPivots     int64 `json:"lpPivots"`
 	LPWarmPivots int64 `json:"lpWarmPivots"`
 	LPColdPivots int64 `json:"lpColdPivots"`
+	// Cut-separation totals across all completed solves: the fresh
+	// max-flows, and the destinations the chained flow certified instead.
+	SepMaxFlows  int64 `json:"sepMaxFlows,omitempty"`
+	SepCertified int64 `json:"sepCertified,omitempty"`
 	// ChurnRuns counts churn-replay requests.
 	ChurnRuns int64 `json:"churnRuns,omitempty"`
 	// Cache occupancy and configuration.
@@ -1231,6 +1235,10 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 	e.stats.LPPivots += int64(sol0(sol))
 	e.stats.LPWarmPivots += int64(after.WarmPivots - before.WarmPivots)
 	e.stats.LPColdPivots += int64(after.ColdPivots - before.ColdPivots)
+	if sol != nil {
+		e.stats.SepMaxFlows += int64(sol.MaxFlows)
+		e.stats.SepCertified += int64(sol.Certified)
+	}
 	e.stats.WarmResolves += int64(after.WarmResolves - before.WarmResolves)
 	e.stats.SessionRebuilds += int64(after.Rebuilds - before.Rebuilds)
 	e.mu.Unlock()
@@ -1252,6 +1260,7 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 		ColdPivots: sol.ColdPivots,
 		ColdSolves: sol.ColdSolves,
 		Flows:      sol.MaxFlows,
+		Certified:  sol.Certified,
 	}
 	// The packing reads nothing but the solution; it runs here so the solve
 	// span can say what it cost.

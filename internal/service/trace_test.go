@@ -87,9 +87,10 @@ func TestEngineTraceLifecycle(t *testing.T) {
 	if solve.Pivots <= 0 || solve.Rounds <= 0 {
 		t.Fatalf("solve span has no LP stats: %+v", solve)
 	}
-	// One max-flow per destination per round.
-	if want := solve.Rounds * (first.Plan.Nodes - 1); solve.Flows != want {
-		t.Fatalf("solve span counts %d separation flows, want %d: %+v", solve.Flows, want, solve)
+	// Every round decides each destination once: by a fresh max-flow or by
+	// the chained flow.
+	if want := solve.Rounds * (first.Plan.Nodes - 1); solve.Flows+solve.Certified != want {
+		t.Fatalf("solve span counts %d separation flows + %d certified, want %d: %+v", solve.Flows, solve.Certified, want, solve)
 	}
 	if solve.DurNs != 0 || solve.SepNs != 0 || cold.StartNs != 0 {
 		t.Fatalf("deterministic trace leaked wall-clock fields: %+v", cold)

@@ -10,15 +10,22 @@ import (
 	"repro/internal/steady"
 )
 
-// BenchmarkSeparationSweep measures one separation sweep — a max-flow per
-// destination — on the final-round edge rates of the three separation-bound
-// large cells, so the per-flow cost has a `go test -bench` number next to
-// the benchmark's maxflow.us_per_flow. The bounded variant is the sweep as
-// the solver runs it: every flow is bounded by the violation threshold and
-// minimum cuts are read only off violated destinations (none at the final
-// round's rates). The unbounded variant is the public-API replay the
-// benchmark's traced run times: MaxFlow to the end plus both canonical
-// minimum cuts.
+// BenchmarkSeparationSweep measures one separation sweep on the final-round
+// edge rates of the three separation-bound large cells, so the per-flow cost
+// has a `go test -bench` number next to the benchmark's
+// maxflow.us_per_flow. The bounded variant is the per-destination sweep of
+// the separation oracle: every flow is bounded by the violation threshold
+// and minimum cuts are read only off violated destinations. The unbounded
+// variant is the public-API replay the benchmark's traced run times: MaxFlow
+// to the end plus both canonical minimum cuts. The chained variant is the
+// solver's own separation step: one flow moved from destination to
+// destination certifies the ones that are not violated, and fresh bounded
+// flows decide the others; it reports its fresh flows and certified
+// destinations per sweep, and ns/dest for a comparison with the others'
+// ns/flow. It also does the cut bookkeeping the other two skip (crossing
+// links, row dedup against the master), which is what it spends on
+// cluster-of-clusters:512: that loop ends through the gap exit with half the
+// destinations still violated by ~1e-8.
 //
 //	go test ./internal/steady -run '^$' -bench SeparationSweep -benchtime 20x
 func BenchmarkSeparationSweep(b *testing.B) {
@@ -81,5 +88,20 @@ func BenchmarkSeparationSweep(b *testing.B) {
 		name := fmt.Sprintf("%s:%d", c.family, c.size)
 		b.Run(name+"/bounded", func(b *testing.B) { sweep(b, true) })
 		b.Run(name+"/unbounded", func(b *testing.B) { sweep(b, false) })
+		b.Run(name+"/chained", func(b *testing.B) {
+			step := steady.ChainedSeparation(p, source, sol.EdgeRate, threshold)
+			step() // warm: CSR index, scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			var flows, certified int
+			for i := 0; i < b.N; i++ {
+				f, c := step()
+				flows += f
+				certified += c
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(n-1)), "ns/dest")
+			b.ReportMetric(float64(flows)/float64(b.N), "flows/op")
+			b.ReportMetric(float64(certified)/float64(b.N), "certified/op")
+		})
 	}
 }

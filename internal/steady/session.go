@@ -295,18 +295,24 @@ func (s *Session) appendOccupationRows(u int) {
 	}
 }
 
-// separator is the session-owned state of cut separation: the residual
-// network over the platform's links (edge IDs coincide with link IDs) and
+// separator is the session-owned state of cut separation: two residual
+// networks over the platform's links (edge IDs coincide with link IDs), one
+// holding the chained flow and one for the destinations the chain skips, and
 // the buffers one separation step reuses, so that a sweep over the
 // destinations allocates only for the cuts it actually adds.
 type separator struct {
-	nw       *maxflow.Network
-	from, to []int  // link endpoints (the link set of a platform is fixed)
-	live     []bool // link usable in the state being resolved
-	side     []bool // partition scratch: min-cut sides, initial and pooled cuts
-	links    []int  // crossingLiveLinks result
-	key      []byte // packCut / packSide scratch
+	chainNet *maxflow.Network // the chained flow (see separate)
+	freshNet *maxflow.Network // one bounded flow per destination the chain skips
+	from, to []int            // link endpoints (the link set of a platform is fixed)
+	live     []bool           // link usable in the state being resolved
+	side     []bool           // partition scratch: min-cut sides, initial and pooled cuts
+	links    []int            // crossingLiveLinks result
+	key      []byte           // packCut / packSide scratch
 	terms    []lp.Term
+
+	// violated marks the destinations below the threshold in the previous
+	// round of this Resolve; it is cleared at the start of each.
+	violated []bool
 }
 
 // refreshSeparator builds the separator on first use and re-reads link
@@ -316,16 +322,19 @@ func (s *Session) refreshSeparator() {
 	n, e := p.NumNodes(), p.NumLinks()
 	if s.sep == nil {
 		sep := &separator{
-			nw:   maxflow.New(n),
-			from: make([]int, e),
-			to:   make([]int, e),
-			live: make([]bool, e),
-			side: make([]bool, n),
+			chainNet: maxflow.New(n),
+			freshNet: maxflow.New(n),
+			from:     make([]int, e),
+			to:       make([]int, e),
+			live:     make([]bool, e),
+			side:     make([]bool, n),
+			violated: make([]bool, n),
 		}
 		for id := 0; id < e; id++ {
 			l := p.Link(id)
 			sep.from[id], sep.to[id] = l.From, l.To
-			sep.nw.AddEdge(l.From, l.To, 0)
+			sep.chainNet.AddEdge(l.From, l.To, 0)
+			sep.freshNet.AddEdge(l.From, l.To, 0)
 		}
 		s.sep = sep
 	}
@@ -430,16 +439,19 @@ func unpackSide(packed string, side []bool) {
 }
 
 // runLoop runs the cutting-plane loop on the session's current problem: solve
-// the master, separate violated cuts with one max-flow per alive
-// destination, append them, repeat until no cut is violated or the
+// the master, separate violated cuts (separate: one chained flow certifies
+// the destinations that are not violated, a fresh max-flow finds the cuts
+// of the others), append them, repeat until no cut is violated or the
 // upper/lower-bound gap closes. The returned Solution reports the pivots and
 // master solves of this Resolve only.
 func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
-	p, source, opts := s.p, s.source, s.opts
-	n, e := p.NumNodes(), p.NumLinks()
+	p, opts := s.p, s.opts
+	e := p.NumLinks()
 	tpVar := e
 	sep := s.sep
-	nw := sep.nw
+	// No separation state crosses a Resolve: the first round chains over
+	// every destination.
+	clear(sep.violated)
 
 	sol := &Solution{EdgeRate: make([]float64, e)}
 	tol := opts.tolerance()
@@ -515,50 +527,23 @@ func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 		sol.Throughput = tp
 		sol.UpperBound = tp
 
-		// Separate violated cuts with one max-flow per alive destination;
-		// dead links carry nothing. Each flow is only ever compared with the
-		// violation threshold, so it is bounded by it: a destination that is
-		// not violated (most of them) stops the moment its flow gets there
-		// and reports exactly the threshold, while a flow below the
-		// threshold is the true maximum and leaves its minimum cuts in the
-		// residual network. The smallest destination max-flow is the
-		// throughput the current edge rates actually support, i.e. a
-		// feasible lower bound on the optimum, while the master value tp is
-		// an upper bound; it is read (by the gap exit) only when some
-		// destination is violated, and then it is one of the exact flows.
+		// Separate on the current edge rates; dead links carry nothing. Every
+		// violated destination contributes both canonical minimum cuts
+		// (source side and sink side) — they are usually different, and
+		// generating two constraints per violated destination roughly halves
+		// the number of master re-solves on hierarchical platforms. The
+		// smallest destination flow is the throughput the current edge rates
+		// actually support, i.e. a feasible lower bound on the optimum, while
+		// the master value tp is an upper bound; it is read (by the gap exit)
+		// only when some destination is violated, and then it is one of the
+		// exact flows.
 		sepStart := time.Now()
-		violated := 0
-		for id := range sep.live {
-			nw.SetCapacity(id, sol.EdgeRate[id])
+		for id, rate := range sol.EdgeRate {
+			sep.chainNet.SetCapacity(id, rate)
+			sep.freshNet.SetCapacity(id, rate)
 		}
 		threshold := tp - tol*math.Max(1, tp)
-		supported := math.Inf(1)
-		for w := 0; w < n; w++ {
-			if w == source || !p.NodeAlive(w) {
-				continue
-			}
-			nw.Reset()
-			flow := nw.MaxFlowBounded(source, w, threshold)
-			sol.MaxFlows++
-			if flow < supported {
-				supported = flow
-			}
-			if flow >= threshold {
-				continue
-			}
-			// Add both canonical minimum cuts (source side and sink side) —
-			// they are usually different, and generating two constraints per
-			// violated destination roughly halves the number of master
-			// re-solves on hierarchical platforms.
-			side := nw.MinCutSourceSideInto(source, sep.side)
-			if s.addCut(s.crossingLiveLinks(side), side) {
-				violated++
-			}
-			side = nw.MinCutSinkSideInto(w, sep.side)
-			if s.addCut(s.crossingLiveLinks(side), side) {
-				violated++
-			}
-		}
+		supported, violated := s.separate(threshold, sol)
 		sol.Cuts = len(s.seen)
 		sol.SepWallNanos += time.Since(sepStart).Nanoseconds()
 		if violated == 0 {
@@ -586,4 +571,108 @@ func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 	}
 	finalize()
 	return sol, fmt.Errorf("%w after %d rounds", ErrNoConvergence, sol.Rounds)
+}
+
+// chainMargin is the relative margin by which the chained flow of separate
+// over-delivers: it certifies a destination only when a flow of
+// threshold·(1 + chainMargin) reaches it. The margin is 100x below the 1e-7
+// separation tolerance, so a destination the master left feasible by the
+// tolerance still chains, and far above the round-off of the Dinic sums
+// (1e-16 relative per addition) and the at most 1e-13 per hop a chain gives
+// up to Reroute's round-off allowance, so a certified destination's own
+// bounded max-flow is never a sliver short of the threshold.
+const chainMargin = 1e-9
+
+// separate runs one separation step at the edge rates loaded into both
+// separation networks and the violation threshold. It appends both
+// canonical minimum cuts of every violated destination to the master,
+// destination by destination in index order, and returns the smallest
+// destination flow — a destination at or above the threshold counting as
+// the threshold itself, the value MaxFlowBounded reports for it — and the
+// number of rows added. It leaves in sep.violated which destinations were
+// violated, and counts in sol the destinations a fresh max-flow decided and
+// those the chained flow certified.
+//
+// One pass over the alive destinations, in index order, over two networks:
+//
+//   - A destination violated in the previous round gets the per-destination
+//     step on freshNet: a Reset and a MaxFlowBounded(source, w, threshold),
+//     whose minimum cuts, if it falls short, are the destination's cuts. It
+//     is most likely violated again, and keeping it out of the chain keeps
+//     the chain going.
+//   - Every other destination w is offered to the chain on chainNet, which
+//     keeps one flow and moves its sink (Hao & Orlin's idea):
+//     Reroute(prev, w, chain), chain being threshold·(1 + chainMargin) and
+//     prev the last certified destination. If f is a source→prev flow of
+//     value F and g a prev→w flow of value F in the residual network of f,
+//     then f + g is a source→w flow of value F: a success certifies w,
+//     since by max-flow/min-cut every source–w cut then has capacity at
+//     least F > threshold.
+//   - Where there is no prev, or Reroute refuses w, the chain restarts at w:
+//     a Reset of chainNet and a MaxFlowBounded(source, w, chain). If it
+//     reaches chain, w is certified and the chain goes on from it (the flow
+//     may overshoot chain by part of its last augmentation; the overshoot
+//     stays at w as a second sink, and a flow with extra sinks still pushes
+//     at least the delivered value across every cut that separates the
+//     source from the current sink). If it falls short, it ran to
+//     exhaustion by the very augmentations MaxFlowBounded(source, w,
+//     threshold) performs while below the threshold, so its value decides w
+//     and its minimum cuts are w's.
+//
+// A certified destination's own bounded flow would have reached the
+// threshold, and every other destination's flow is computed exactly as a
+// bounded max-flow per destination computes it, so the violated
+// destinations, their cuts (in the same order) and the returned value are
+// exactly those of the per-destination sweep, and the cutting-plane loop
+// above is unchanged by the chain bit for bit.
+func (s *Session) separate(threshold float64, sol *Solution) (supported float64, added int) {
+	p, source, sep := s.p, s.source, s.sep
+	n := p.NumNodes()
+	chain := threshold * (1 + chainMargin)
+	supported = math.Inf(1)
+	prev := -1
+	for w := 0; w < n; w++ {
+		if w == source || !p.NodeAlive(w) {
+			continue
+		}
+		flow, nw := threshold, sep.freshNet
+		switch {
+		case sep.violated[w]:
+			nw.Reset()
+			flow = nw.MaxFlowBounded(source, w, threshold)
+			sol.MaxFlows++
+		case prev >= 0 && sep.chainNet.Reroute(prev, w, chain):
+			sol.Certified++
+			prev = w
+		default:
+			nw = sep.chainNet
+			nw.Reset()
+			if f := nw.MaxFlowBounded(source, w, chain); f >= chain {
+				sol.Certified++
+				prev = w
+			} else {
+				sol.MaxFlows++
+				prev = -1
+				if !(f >= threshold) {
+					flow = f
+				}
+			}
+		}
+		if flow < supported {
+			supported = flow
+		}
+		sep.violated[w] = !(flow >= threshold)
+		if !sep.violated[w] {
+			continue
+		}
+		side := nw.MinCutSourceSideInto(source, sep.side)
+		if s.addCut(s.crossingLiveLinks(side), side) {
+			added++
+		}
+		side = nw.MinCutSinkSideInto(w, sep.side)
+		if s.addCut(s.crossingLiveLinks(side), side) {
+			added++
+		}
+	}
+	return supported, added
 }

@@ -48,13 +48,17 @@ type Solution struct {
 	LPWallNanos int64
 	// SepWallNanos is the wall-clock time spent separating cuts during this
 	// resolve — loading the round's edge rates into the separation network,
-	// the per-destination max-flows, min-cut extraction and cut bookkeeping —
-	// and MaxFlows the number of max-flows that took. LPWallNanos and
-	// SepWallNanos together account for nearly all of a resolve. The count
-	// is deterministic; the wall, like LPWallNanos, is never marshaled into
-	// the deterministic reports.
+	// the chained flow, the fresh max-flows, min-cut extraction and cut
+	// bookkeeping. Every round decides each alive destination exactly once:
+	// Certified counts the destinations the chained flow certified, MaxFlows
+	// those a fresh max-flow decided, so their sum is Rounds times the alive
+	// destinations. LPWallNanos and SepWallNanos
+	// together account for nearly all of a resolve. The counts are
+	// deterministic; the wall, like LPWallNanos, is never marshaled into the
+	// deterministic reports.
 	SepWallNanos int64
 	MaxFlows     int
+	Certified    int
 	// Packing, when non-nil, is the weighted spanning-tree decomposition of
 	// EdgeRate: the primal witness that Throughput is achieved by an actual
 	// convex combination of broadcast trees. The solver itself leaves it
