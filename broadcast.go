@@ -309,7 +309,7 @@ func ParseFingerprint(s string) (Fingerprint, error) { return platform.ParseFing
 func NewPlanEngine(cfg PlanEngineConfig) *PlanEngine { return service.New(cfg) }
 
 // NewPlanHandler returns the HTTP/JSON API of the engine (the handler served
-// by bcast-serve: /v1/plan, /v1/evaluate, /v1/churn, /v1/stats, /v1/metrics,
+// by bcast-serve: /v1/plan, /v1/evaluate, /v1/churn, /v1/metrics,
 // /v1/trace, /metrics, /healthz).
 func NewPlanHandler(e *PlanEngine) http.Handler { return service.NewHandler(e) }
 
@@ -322,7 +322,9 @@ func NewPlanTracer(opts PlanTracerOptions) *PlanTracer { return obs.NewTracer(op
 // PlanMetricsText renders the engine's counters and solve-stage summaries
 // as a Prometheus text exposition (version 0.0.4) — the same families the
 // HTTP handler serves at GET /metrics, minus the per-route HTTP section.
-func PlanMetricsText(e *PlanEngine) string { return service.PromText(e, nil) }
+func PlanMetricsText(e *PlanEngine) string {
+	return service.PromText(service.NewMetrics().Snapshot(e))
+}
 
 // Load-generation types: the deterministic workload replay subsystem behind
 // the bcast-load CLI (package internal/load).

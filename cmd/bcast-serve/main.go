@@ -8,8 +8,8 @@
 //	POST /v1/plan      plan a platform (or mutate a cached one: base+deltas)
 //	POST /v1/evaluate  compare tree heuristics against the optimum
 //	POST /v1/churn     replay a churn trace (keep/repair/rebuild policies)
-//	GET  /v1/stats     cache and solver statistics
-//	GET  /v1/metrics   engine counters + per-endpoint latency quantiles (JSON)
+//	GET  /v1/metrics   cache and solver counters ("engine"), solve-stage
+//	                   histograms, per-endpoint latency quantiles (JSON)
 //	GET  /metrics      the same counters in Prometheus text exposition format
 //	GET  /v1/trace     recent request traces (?outcome=hit|miss|shed|..., ?limit=)
 //	GET  /healthz      liveness probe

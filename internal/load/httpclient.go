@@ -104,21 +104,22 @@ func (hp *HTTPPlanner) Plan(req service.PlanRequest) (*service.PlanResult, error
 	}, nil
 }
 
-// Stats implements Planner.
+// Stats implements Planner: the engine member of the server's GET
+// /v1/metrics snapshot.
 func (hp *HTTPPlanner) Stats() (service.Stats, error) {
-	resp, err := hp.Client.Get(hp.BaseURL + "/v1/stats")
+	resp, err := hp.Client.Get(hp.BaseURL + "/v1/metrics")
 	if err != nil {
-		return service.Stats{}, fmt.Errorf("load: GET /v1/stats: %w", err)
+		return service.Stats{}, fmt.Errorf("load: GET /v1/metrics: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return service.Stats{}, fmt.Errorf("load: /v1/stats: status %d", resp.StatusCode)
+		return service.Stats{}, fmt.Errorf("load: /v1/metrics: status %d", resp.StatusCode)
 	}
-	var st service.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return service.Stats{}, fmt.Errorf("load: decode /v1/stats: %w", err)
+	var snap service.MetricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		return service.Stats{}, fmt.Errorf("load: decode /v1/metrics: %w", err)
 	}
-	return st, nil
+	return snap.Engine, nil
 }
 
 // Mode implements Planner.

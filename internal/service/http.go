@@ -55,8 +55,8 @@ type traceEnvelope struct {
 //	                    sources broadcasting on one platform, capacity
 //	                    split by shares; trees=k packs each broadcast)
 //	POST /v1/churn     ChurnRequest -> ChurnReplay
-//	GET  /v1/stats     -> Stats (engine counters)
-//	GET  /v1/metrics   -> MetricsSnapshot (engine counters + per-endpoint
+//	GET  /v1/metrics   -> MetricsSnapshot (engine counters under "engine",
+//	                      solve-stage histograms, per-endpoint
 //	                      request/error counts and latency quantiles)
 //	GET  /healthz      -> "ok"
 //
@@ -87,7 +87,8 @@ type HandlerOptions struct {
 // NewHandlerOpts is NewHandler with options. Beyond the NewHandler routes it
 // serves:
 //
-//	GET  /metrics   -> Prometheus text exposition (PromText)
+//	GET  /metrics   -> the /v1/metrics snapshot as a Prometheus text
+//	                   exposition (PromText)
 //	GET  /v1/trace  -> recent request traces (?outcome= filters by
 //	                   hit/collapsed/miss/shed/canceled/degraded/refine/error,
 //	                   ?limit= caps the count, default 100)
@@ -105,13 +106,6 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	mux.Handle("/v1/stats", ins("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, errors.New("service: GET only"))
-			return
-		}
-		writeJSON(w, http.StatusOK, e.Stats())
-	}))
 	mux.Handle("/v1/metrics", ins("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, errors.New("service: GET only"))
@@ -125,7 +119,7 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		io.WriteString(w, PromText(e, m))
+		io.WriteString(w, PromText(m.Snapshot(e)))
 	}))
 	mux.Handle("/v1/trace", ins("/v1/trace", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -154,7 +148,7 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 	}))
 	mux.Handle("/v1/plan", ins("/v1/plan", func(w http.ResponseWriter, r *http.Request) {
 		var req PlanRequest
-		if !decodePlanPost(w, r, &req) {
+		if !decodeRequest(w, r, &req, &req.Platform) {
 			return
 		}
 		ctx := r.Context()
@@ -186,7 +180,7 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 	}))
 	mux.Handle("/v1/evaluate", ins("/v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
 		var req EvaluateRequest
-		if !decodePost(w, r, &req) {
+		if !decodeRequest(w, r, &req, &req.Platform) {
 			return
 		}
 		ev, err := e.EvaluateContext(r.Context(), req)
@@ -198,7 +192,7 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 	}))
 	mux.Handle("/v1/concurrent", ins("/v1/concurrent", func(w http.ResponseWriter, r *http.Request) {
 		var req ConcurrentRequest
-		if !decodePost(w, r, &req) {
+		if !decodeRequest(w, r, &req, &req.Platform) {
 			return
 		}
 		cp, err := e.ConcurrentContext(r.Context(), req)
@@ -210,7 +204,7 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 	}))
 	mux.Handle("/v1/churn", ins("/v1/churn", func(w http.ResponseWriter, r *http.Request) {
 		var req ChurnRequest
-		if !decodePost(w, r, &req) {
+		if !decodeRequest(w, r, &req, &req.Platform) {
 			return
 		}
 		rep, err := e.ChurnContext(r.Context(), req)
@@ -326,11 +320,6 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// decodePost enforces the POST method and decodes the JSON body into dst.
-func decodePost(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	return requirePost(w, r) && decodeStrict(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
-}
-
 // decodeStrict decodes a request body into dst. The body must be exactly one
 // JSON document with no unknown fields: trailing content — malformed or
 // otherwise — is rejected with a structured 400 instead of being silently
@@ -350,13 +339,15 @@ func decodeStrict(w http.ResponseWriter, body io.Reader, dst interface{}) bool {
 	return true
 }
 
-// decodePlanPost is decodePost for /v1/plan, whose body is nearly all
-// platform and is usually a repeat: the body is read once, the platform is
-// decoded from it in a single pass (platform.DecodeMember), and only the few
-// bytes around it go through the strict decoder. Whatever DecodeMember
-// declines — a delta request, a malformed body — goes through it whole, so
-// the contract and the error texts are decodePost's.
-func decodePlanPost(w http.ResponseWriter, r *http.Request, req *PlanRequest) bool {
+// decodeRequest enforces the POST method and decodes a request body into
+// dst, whose "platform" member lands in *plat. Every request type carries a
+// platform, and it is nearly all of the body (usually a repeat): the body is
+// read once, the platform is decoded from it in a single pass
+// (platform.DecodeMember), and only the few bytes around it go through the
+// strict decoder. Whatever DecodeMember declines — a delta request, a
+// malformed body — goes through the strict decoder whole, so the contract
+// and the error texts are decodeStrict's on the raw body.
+func decodeRequest(w http.ResponseWriter, r *http.Request, dst interface{}, plat **platform.Platform) bool {
 	if !requirePost(w, r) {
 		return false
 	}
@@ -372,11 +363,11 @@ func decodePlanPost(w http.ResponseWriter, r *http.Request, req *PlanRequest) bo
 	if p == nil {
 		rest = buf.Bytes()
 	}
-	if !decodeStrict(w, bytes.NewReader(rest), req) {
+	if !decodeStrict(w, bytes.NewReader(rest), dst) {
 		return false
 	}
 	if p != nil {
-		req.Platform = p
+		*plat = p
 	}
 	return true
 }

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path string, body interface{}) (*http.Response, []byte) {
@@ -171,17 +173,17 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 	if _, err := e.Plan(PlanRequest{Platform: smallPlatform(t, 55), Source: 0}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(srv.URL + "/v1/stats")
+	resp, err = http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st Stats
-	err = json.NewDecoder(resp.Body).Decode(&st)
+	var snap MetricsSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 1 || st.Solves != 1 || st.CacheEntries != 1 {
+	if st := snap.Engine; st.Requests != 1 || st.Solves != 1 || st.CacheEntries != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -403,11 +405,12 @@ func TestHTTPAbortHandlerPropagates(t *testing.T) {
 	}
 }
 
-// TestDecodePlanPostMatchesStrictDecode holds /v1/plan's single-read decode
-// to the generic strict decoder it bypasses: on every body — platform first,
-// last or absent, oddly cased, repeated or null, next to unknown fields,
-// before trailing data, invalid — both give the same verdict, the same error
-// body and the same request.
+// TestDecodePlanPostMatchesStrictDecode holds the single-read request decode
+// (decodeRequest) to the strict decoder it bypasses, run on the raw body: on
+// every body — platform first, last or absent, oddly cased, repeated or null,
+// next to unknown fields, before trailing data, invalid — and for every
+// request type that carries a platform, both give the same verdict, the same
+// error body and the same request.
 func TestDecodePlanPostMatchesStrictDecode(t *testing.T) {
 	plat, err := json.Marshal(smallPlatform(t, 3))
 	if err != nil {
@@ -436,27 +439,52 @@ func TestDecodePlanPostMatchesStrictDecode(t *testing.T) {
 		`[` + p + `]`,
 		``,
 	}
-	for _, body := range bodies {
-		decode := func(fast bool) (bool, string, string) {
-			rec := httptest.NewRecorder()
-			r := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body))
+	// Each request type decodes into a fresh value; the reference is
+	// requirePost plus decodeStrict on the raw body.
+	types := map[string]func(fast bool, w http.ResponseWriter, r *http.Request) (bool, interface{}){
+		"plan": func(fast bool, w http.ResponseWriter, r *http.Request) (bool, interface{}) {
 			var req PlanRequest
-			ok := false
-			if fast {
-				ok = decodePlanPost(rec, r, &req)
-			} else {
-				ok = decodePost(rec, r, &req)
+			return decodeEither(fast, w, r, &req, &req.Platform), req
+		},
+		"evaluate": func(fast bool, w http.ResponseWriter, r *http.Request) (bool, interface{}) {
+			var req EvaluateRequest
+			return decodeEither(fast, w, r, &req, &req.Platform), req
+		},
+		"concurrent": func(fast bool, w http.ResponseWriter, r *http.Request) (bool, interface{}) {
+			var req ConcurrentRequest
+			return decodeEither(fast, w, r, &req, &req.Platform), req
+		},
+		"churn": func(fast bool, w http.ResponseWriter, r *http.Request) (bool, interface{}) {
+			var req ChurnRequest
+			return decodeEither(fast, w, r, &req, &req.Platform), req
+		},
+	}
+	for name, decodeAs := range types {
+		for _, body := range bodies {
+			decode := func(fast bool) (bool, string, string) {
+				rec := httptest.NewRecorder()
+				r := httptest.NewRequest(http.MethodPost, "/v1/"+name, strings.NewReader(body))
+				ok, req := decodeAs(fast, rec, r)
+				got, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ok, rec.Body.String(), string(got)
 			}
-			got, err := json.Marshal(req)
-			if err != nil {
-				t.Fatal(err)
+			ok, errBody, req := decode(true)
+			wantOK, wantErrBody, wantReq := decode(false)
+			if ok != wantOK || errBody != wantErrBody || (ok && req != wantReq) {
+				t.Errorf("%s body %.60q...:\n  single-read: ok=%v %s %.80s\n  strict:      ok=%v %s %.80s", name, body, ok, errBody, req, wantOK, wantErrBody, wantReq)
 			}
-			return ok, rec.Body.String(), string(got)
-		}
-		ok, errBody, req := decode(true)
-		wantOK, wantErrBody, wantReq := decode(false)
-		if ok != wantOK || errBody != wantErrBody || (ok && req != wantReq) {
-			t.Errorf("body %.60q...:\n  single-read: ok=%v %s %.80s\n  strict:      ok=%v %s %.80s", body, ok, errBody, req, wantOK, wantErrBody, wantReq)
 		}
 	}
+}
+
+// decodeEither decodes a request body with decodeRequest (fast) or with the
+// reference: requirePost plus decodeStrict on the raw body.
+func decodeEither(fast bool, w http.ResponseWriter, r *http.Request, dst interface{}, plat **platform.Platform) bool {
+	if fast {
+		return decodeRequest(w, r, dst, plat)
+	}
+	return requirePost(w, r) && decodeStrict(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
 }

@@ -51,57 +51,26 @@ type EndpointMetrics struct {
 	LatencyNs stats.HistogramSummary `json:"latencyNs"`
 }
 
-// OverloadCounters is the always-present view of the overload-contract
-// counters. The same numbers live in Stats, but there they carry omitempty
-// tags (zero values vanish from the JSON), so dashboards scraping
-// /v1/metrics could not tell "no shedding configured" from "no shedding
-// happened". Here every field marshals unconditionally.
-type OverloadCounters struct {
-	Shed              int64 `json:"shed"`
-	Queued            int64 `json:"queued"`
-	Canceled          int64 `json:"canceled"`
-	Degraded          int64 `json:"degraded"`
-	Refines           int64 `json:"refines"`
-	RefineFailures    int64 `json:"refineFailures"`
-	EvictionsDeferred int64 `json:"evictionsDeferred"`
-	QueueDepth        int   `json:"queueDepth"`
-}
-
-// overloadCounters extracts the always-present overload view from a stats
-// snapshot.
-func overloadCounters(s Stats) OverloadCounters {
-	return OverloadCounters{
-		Shed:              s.Shed,
-		Queued:            s.Queued,
-		Canceled:          s.Canceled,
-		Degraded:          s.Degraded,
-		Refines:           s.Refines,
-		RefineFailures:    s.RefineFailures,
-		EvictionsDeferred: s.EvictionsDeferred,
-		QueueDepth:        s.QueueDepth,
-	}
-}
-
-// MetricsSnapshot is the response body of GET /v1/metrics: the engine's
-// cache/solver counters plus the always-present overload counters, the
+// MetricsSnapshot is everything the service reports, taken once per scrape:
+// the engine's cache/solver counters (every one present, zero or not), the
 // solve-stage histograms, and per-endpoint HTTP counters and latency
-// quantiles. Endpoints marshal as a JSON object keyed by route, so the
-// serialization is stable (encoding/json sorts map keys).
+// quantiles. GET /v1/metrics serves it as JSON and GET /metrics renders it
+// with PromText, so the two can never disagree. Endpoints marshal as a JSON
+// object keyed by route, so the serialization is stable (encoding/json sorts
+// map keys).
 type MetricsSnapshot struct {
 	Engine    Stats                      `json:"engine"`
-	Overload  OverloadCounters           `json:"overload"`
 	Stage     StageStats                 `json:"stage"`
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
 }
 
 // Snapshot returns a consistent copy of the per-endpoint counters combined
-// with the engine's counter snapshot.
+// with the engine's counter and stage snapshots.
 func (m *Metrics) Snapshot(e *Engine) MetricsSnapshot {
-	snap := MetricsSnapshot{Endpoints: make(map[string]EndpointMetrics)}
-	if e != nil {
-		snap.Engine = e.Stats()
-		snap.Overload = overloadCounters(snap.Engine)
-		snap.Stage = e.StageStats()
+	snap := MetricsSnapshot{
+		Engine:    e.Stats(),
+		Stage:     e.StageStats(),
+		Endpoints: make(map[string]EndpointMetrics),
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -233,9 +233,9 @@ func TestHTTPPrometheusMetrics(t *testing.T) {
 	}
 }
 
-// TestHTTPMetricsJSONOverloadAndStage checks the satellite: /v1/metrics
-// always carries the overload counters (even at zero) and the solve-stage
-// histograms.
+// TestHTTPMetricsJSONOverloadAndStage checks that /v1/metrics always
+// carries the overload counters in its engine member (even at zero) and the
+// solve-stage histograms.
 func TestHTTPMetricsJSONOverloadAndStage(t *testing.T) {
 	srv, _ := tracedServer(t, nil)
 	p := smallPlatform(t, 33)
@@ -251,11 +251,19 @@ func TestHTTPMetricsJSONOverloadAndStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The overload keys must be present in the raw JSON even when zero.
-	for _, key := range []string{`"overload"`, `"shed":0`, `"queued":0`, `"canceled":0`, `"degraded":0`,
-		`"refines":0`, `"refineFailures":0`, `"evictionsDeferred":0`, `"queueDepth":0`, `"stage"`} {
-		if !strings.Contains(string(raw), key) {
-			t.Fatalf("/v1/metrics missing %s:\n%s", key, raw)
+	// The overload keys must be present in the raw engine member even when
+	// zero.
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &members); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := members["stage"]; !ok {
+		t.Fatalf("/v1/metrics missing \"stage\":\n%s", raw)
+	}
+	for _, key := range []string{`"shed":0`, `"queued":0`, `"canceled":0`, `"degraded":0`,
+		`"refines":0`, `"refineFailures":0`, `"evictionsDeferred":0`, `"queueDepth":0`} {
+		if !strings.Contains(string(members["engine"]), key) {
+			t.Fatalf("/v1/metrics engine member missing %s:\n%s", key, raw)
 		}
 	}
 	var snap MetricsSnapshot

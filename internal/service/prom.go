@@ -6,17 +6,17 @@ import (
 	"repro/internal/obs"
 )
 
-// PromText renders the engine and HTTP counters as a Prometheus text
-// exposition (version 0.0.4): every service.Stats counter as a
-// bcast_*_total counter (or bcast_* gauge for occupancy/configuration), the
-// solve-stage histograms as summaries, and the per-route HTTP counters and
-// latency quantiles with a route label. The registry is rebuilt from
-// snapshots on every scrape, so GET /metrics and the JSON /v1/metrics can
-// never disagree about the underlying numbers. m may be nil (no HTTP
-// families, e.g. when exporting an in-process engine).
-func PromText(e *Engine, m *Metrics) string {
+// PromText renders a metrics snapshot as a Prometheus text exposition
+// (version 0.0.4): every service.Stats counter as a bcast_*_total counter (or
+// bcast_* gauge for occupancy/configuration), the solve-stage histograms as
+// summaries, and the per-route HTTP counters and latency quantiles with a
+// route label. GET /metrics renders the same snapshot GET /v1/metrics
+// marshals, so the two can never disagree about the underlying numbers. A
+// snapshot with no endpoints (an in-process engine's) renders no HTTP
+// families.
+func PromText(snap MetricsSnapshot) string {
 	r := obs.NewRegistry()
-	s := e.Stats()
+	s := snap.Engine
 	counter := func(name, help string, v int64) {
 		r.Counter(name, help, float64(v))
 	}
@@ -48,7 +48,7 @@ func PromText(e *Engine, m *Metrics) string {
 	r.Gauge("bcast_workers", "Configured solve lanes.", float64(s.Workers))
 	r.Gauge("bcast_queue_depth", "Configured admission-queue depth.", float64(s.QueueDepth))
 
-	st := e.StageStats()
+	st := snap.Stage
 	r.Summary("bcast_solve_latency_seconds", "Wall-clock latency of completed solves.", st.SolveLatencyNs, 1e-9)
 	r.Summary("bcast_queue_wait_seconds", "Admission wait of admitted solves.", st.QueueWaitNs, 1e-9)
 	r.Summary("bcast_refine_latency_seconds", "End-to-end latency of background refinements.", st.RefineLatencyNs, 1e-9)
@@ -56,19 +56,16 @@ func PromText(e *Engine, m *Metrics) string {
 	r.Summary("bcast_solve_rounds", "Cutting-plane rounds per solve.", st.SolveRounds, 1)
 	r.Summary("bcast_solve_cuts", "Cuts added per solve.", st.SolveCuts, 1)
 
-	if m != nil {
-		ms := m.Snapshot(nil)
-		routes := make([]string, 0, len(ms.Endpoints))
-		for route := range ms.Endpoints {
-			routes = append(routes, route)
-		}
-		sort.Strings(routes)
-		for _, route := range routes {
-			em := ms.Endpoints[route]
-			r.Counter("bcast_http_requests_total", "HTTP requests by route.", float64(em.Requests), "route", route)
-			r.Counter("bcast_http_errors_total", "HTTP responses with status >= 400 by route.", float64(em.Errors), "route", route)
-			r.Summary("bcast_http_latency_seconds", "HTTP request latency by route.", em.LatencyNs, 1e-9, "route", route)
-		}
+	routes := make([]string, 0, len(snap.Endpoints))
+	for route := range snap.Endpoints {
+		routes = append(routes, route)
+	}
+	sort.Strings(routes)
+	for _, route := range routes {
+		em := snap.Endpoints[route]
+		r.Counter("bcast_http_requests_total", "HTTP requests by route.", float64(em.Requests), "route", route)
+		r.Counter("bcast_http_errors_total", "HTTP responses with status >= 400 by route.", float64(em.Errors), "route", route)
+		r.Summary("bcast_http_latency_seconds", "HTTP request latency by route.", em.LatencyNs, 1e-9, "route", route)
 	}
 	return r.Render()
 }

@@ -91,12 +91,6 @@ type Config struct {
 	// carry its own deadlineMs: the solve is canceled (ErrCanceled, HTTP
 	// 504) once the deadline expires. Zero means no server-side deadline.
 	DefaultDeadline time.Duration
-	// DegradedHeuristic names the tree heuristic used to answer opt-in
-	// degraded requests immediately while the LP solve refines in the
-	// background (default "grow-tree"). It should be a non-LP heuristic —
-	// an LP-based one would pay the very solve degraded mode exists to
-	// avoid.
-	DegradedHeuristic string
 	// Steady is the base steady-state solver configuration applied to every
 	// request (a per-request LPMaxIterations is layered on top).
 	Steady *steady.Options
@@ -198,13 +192,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.NumCPU()
-}
-
-func (c Config) degradedHeuristic() string {
-	if c.DegradedHeuristic != "" {
-		return c.DegradedHeuristic
-	}
-	return heuristics.NameGrowTree
 }
 
 // PlanRequest asks for the optimal steady-state broadcast plan of a platform.
@@ -330,7 +317,9 @@ type PlanResult struct {
 	TraceID string
 }
 
-// Stats is a snapshot of the engine counters.
+// Stats is a snapshot of the engine counters. Every field marshals, zero or
+// not: it is the "engine" member of GET /v1/metrics, and a dashboard must
+// tell "no shedding happened" from "not reported".
 type Stats struct {
 	// Requests = Hits + Misses, on every path including errors: a request
 	// that waited on a solve which then failed — and a request abandoned by
@@ -346,49 +335,49 @@ type Stats struct {
 	Requests     int64 `json:"requests"`
 	Hits         int64 `json:"hits"`
 	Misses       int64 `json:"misses"`
-	TwinMisses   int64 `json:"twinMisses,omitempty"`
-	Singleflight int64 `json:"singleflight,omitempty"`
-	Evictions    int64 `json:"evictions,omitempty"`
+	TwinMisses   int64 `json:"twinMisses"`
+	Singleflight int64 `json:"singleflight"`
+	Evictions    int64 `json:"evictions"`
 	// EvictionsDeferred counts eviction scans that skipped an in-flight
 	// entry (solve not finished): evicting one would break the singleflight
 	// invariant, so the cache temporarily exceeds capacity instead.
-	EvictionsDeferred int64 `json:"evictionsDeferred,omitempty"`
+	EvictionsDeferred int64 `json:"evictionsDeferred"`
 	// Admission-control outcomes for cold-miss solves: Queued waited behind
 	// busy lanes, Shed were rejected with an *OverloadedError, Canceled
 	// were abandoned by their context (in the queue, on a collapsed wait,
 	// or mid-solve).
-	Queued   int64 `json:"queued,omitempty"`
-	Shed     int64 `json:"shed,omitempty"`
-	Canceled int64 `json:"canceled,omitempty"`
+	Queued   int64 `json:"queued"`
+	Shed     int64 `json:"shed"`
+	Canceled int64 `json:"canceled"`
 	// Degraded-mode outcomes: Degraded counts heuristic-only answers served
 	// immediately, Refines the background LP solves that later replaced
 	// them in the cache, RefineFailures the refinements that failed (the
 	// degraded plan then stays, still flagged Degraded).
-	Degraded       int64 `json:"degraded,omitempty"`
-	Refines        int64 `json:"refines,omitempty"`
-	RefineFailures int64 `json:"refineFailures,omitempty"`
+	Degraded       int64 `json:"degraded"`
+	Refines        int64 `json:"refines"`
+	RefineFailures int64 `json:"refineFailures"`
 	// Solves counts the actual solver runs; DeltaPlans the requests served
 	// through the base+deltas path, split into warm session reuses and
 	// session rebuilds.
 	Solves          int64 `json:"solves"`
-	DeltaPlans      int64 `json:"deltaPlans,omitempty"`
-	WarmResolves    int64 `json:"warmResolves,omitempty"`
-	SessionRebuilds int64 `json:"sessionRebuilds,omitempty"`
+	DeltaPlans      int64 `json:"deltaPlans"`
+	WarmResolves    int64 `json:"warmResolves"`
+	SessionRebuilds int64 `json:"sessionRebuilds"`
 	// Simplex pivot totals across all solves, split warm/cold.
 	LPPivots     int64 `json:"lpPivots"`
 	LPWarmPivots int64 `json:"lpWarmPivots"`
 	LPColdPivots int64 `json:"lpColdPivots"`
 	// Cut-separation totals across all completed solves: the fresh
 	// max-flows, and the destinations the chained flow certified instead.
-	SepMaxFlows  int64 `json:"sepMaxFlows,omitempty"`
-	SepCertified int64 `json:"sepCertified,omitempty"`
+	SepMaxFlows  int64 `json:"sepMaxFlows"`
+	SepCertified int64 `json:"sepCertified"`
 	// ChurnRuns counts churn-replay requests.
-	ChurnRuns int64 `json:"churnRuns,omitempty"`
+	ChurnRuns int64 `json:"churnRuns"`
 	// Cache occupancy and configuration.
 	CacheEntries  int `json:"cacheEntries"`
 	CacheCapacity int `json:"cacheCapacity"`
 	Workers       int `json:"workers"`
-	QueueDepth    int `json:"queueDepth,omitempty"`
+	QueueDepth    int `json:"queueDepth"`
 }
 
 // planParams are the request parameters that change the answer; both cache
@@ -446,13 +435,12 @@ type entry struct {
 	err     error
 
 	mu sync.Mutex // guards every field below
-	// plan/json start as the degraded heuristic plan for degraded entries
-	// and are swapped for the refined LP plan when it lands; degraded
-	// mirrors Plan.Degraded. For normal entries they are written once
-	// before ready closes and never change.
-	plan     *Plan
-	json     []byte
-	degraded bool
+	// plan/json start as the degraded heuristic plan (Plan.Degraded set)
+	// for degraded entries and are swapped for the refined LP plan when it
+	// lands. For normal entries they are written once before ready closes
+	// and never change.
+	plan *Plan
+	json []byte
 	// plat is an immutable snapshot of the planned platform; sessions are
 	// re-derived from it when the live one has moved on.
 	plat *platform.Platform
@@ -523,13 +511,12 @@ func (e *Engine) Drain() { e.bg.Wait() }
 
 // insertLocked adds a claimed entry to the cache and evicts over capacity.
 // The engine mutex must be held.
-func (e *Engine) insertLocked(ent *entry) *list.Element {
+func (e *Engine) insertLocked(ent *entry) {
 	el := e.lru.PushFront(ent)
 	e.byKey[ent.key] = el
 	fk := ent.fpKey()
 	e.byFP[fk] = append(e.byFP[fk], el)
 	e.trimLocked()
-	return el
 }
 
 func (ent *entry) fpKey() fpKey { return fpKey{fp: ent.fp, planParams: ent.key.planParams} }
@@ -639,10 +626,6 @@ func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 	e.stats.Queued++
 	e.mu.Unlock()
 	e.admit(AdmitQueued)
-	if ctx == nil {
-		e.sem <- struct{}{}
-		return e.releaseLane, nil
-	}
 	select {
 	case e.sem <- struct{}{}:
 		return e.releaseLane, nil
@@ -809,16 +792,16 @@ func (e *Engine) PlanContext(ctx context.Context, req PlanRequest) (res *PlanRes
 	// to record the response write) is appended to; otherwise the engine owns
 	// the request's trace end to end.
 	tc := obs.TraceFrom(ctx)
-	if tc == nil && e.cfg.Tracer != nil {
+	owned := tc == nil && e.cfg.Tracer != nil
+	if owned {
 		tc = e.cfg.Tracer.Begin(obs.RequestID(ctx))
+	}
+	if tc != nil {
 		defer func() {
-			e.cfg.Tracer.Finish(tc, TraceOutcome(res, err))
-			if res != nil {
-				res.TraceID = tc.TraceID()
+			// A deterministic tracer assigns the ID when the trace finishes.
+			if owned {
+				e.cfg.Tracer.Finish(tc, TraceOutcome(res, err))
 			}
-		}()
-	} else if tc != nil {
-		defer func() {
 			if res != nil {
 				res.TraceID = tc.TraceID()
 			}
@@ -853,21 +836,51 @@ func (e *Engine) requestContext(ctx context.Context, deadlineMs int) (context.Co
 	return context.WithTimeout(ctx, d)
 }
 
-// planPlatform plans for an explicit platform. taken, when non-nil, is a
-// warm session already positioned at the platform's exact state (the delta
-// path hands one in); it is consumed: either by the solve, or by donating
-// the session to the cache entry the request lands on.
+// planPlatform runs the plan pipeline for an explicit platform: lookup, then
+// on a miss lane → solve → settle. A degraded miss answers with a heuristic
+// plan instead and leaves lane → solve → settle to a background refinement.
+// taken, when non-nil, is a warm session already positioned at the
+// platform's exact state (the delta path hands one in); it is consumed:
+// either by the solve, or by donating the session to the cache entry the
+// request lands on.
 func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.Platform, taken *takenSession, tc *obs.Trace) (*PlanResult, error) {
+	ent, res, err := e.lookup(ctx, req, p, taken, tc)
+	if ent == nil {
+		return res, err
+	}
+	if req.Degraded {
+		return e.degrade(req, p, ent, taken, tc)
+	}
+	release, err := e.lane(ctx, obs.SpanSolve, tc)
+	var s *solved
+	if err == nil {
+		s, err = e.solve(ctx, obs.SpanSolve, req, p, ent.id(), taken, tc)
+		release()
+	}
+	e.settle(ent, s, err, ent.ready)
+	if err != nil {
+		return nil, err
+	}
+	return &PlanResult{Plan: s.plan, JSON: append([]byte(nil), s.json...), WarmResolved: taken != nil && taken.warm}, nil
+}
+
+// lookup is the first stage of the pipeline. It validates the request,
+// hashes the exact platform and computes the fingerprint only on a miss, then
+// either serves a hit — waiting on an in-flight solve, or on a pending
+// refinement, as needed — or claims a new cache entry and returns it for the
+// rest of the pipeline. A nil entry means the request is answered: res or err
+// is final.
+func (e *Engine) lookup(ctx context.Context, req PlanRequest, p *platform.Platform, taken *takenSession, tc *obs.Trace) (*entry, *PlanResult, error) {
 	if req.Heuristic != "" {
 		if _, err := heuristics.ByName(req.Heuristic); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	}
 	if req.Trees < 0 {
-		return nil, fmt.Errorf("%w: negative tree cap %d", ErrBadRequest, req.Trees)
+		return nil, nil, fmt.Errorf("%w: negative tree cap %d", ErrBadRequest, req.Trees)
 	}
 	if p.NumAliveNodes() < 2 {
-		return nil, ErrTooSmall
+		return nil, nil, ErrTooSmall
 	}
 	key := cacheKey{exact: exactHash(p), planParams: req.params()}
 	if tc != nil {
@@ -900,12 +913,7 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 		// is counted here too — at the same moment the hook fires — so the
 		// stats-side and hook-side views agree even when the solve this
 		// request collapsed onto later fails.
-		collapsed := false
-		select {
-		case <-ent.ready:
-		default:
-			collapsed = true
-		}
+		collapsed := !entryDone(ent)
 		if collapsed {
 			e.stats.Singleflight++
 		}
@@ -916,7 +924,7 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 		case <-ent.ready:
 		case <-ctx.Done():
 			tc.Add(obs.Event{Kind: obs.SpanCancel, At: "collapsed-wait"})
-			return nil, e.abandonHit(ctx)
+			return nil, nil, e.abandonHit(ctx)
 		}
 		if ent.refined != nil && !req.Degraded {
 			// The entry is (or was) a degraded one. Opt-in degraded requests
@@ -926,7 +934,7 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 			case <-ent.refined:
 			case <-ctx.Done():
 				tc.Add(obs.Event{Kind: obs.SpanCancel, At: "refined-wait"})
-				return nil, e.abandonHit(ctx)
+				return nil, nil, e.abandonHit(ctx)
 			}
 		}
 		e.mu.Lock()
@@ -935,25 +943,21 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 			// Misses, keeping Hits+Misses == Requests on every path.
 			e.stats.Misses++
 			e.mu.Unlock()
-			return nil, ent.err
+			return nil, nil, ent.err
 		}
 		e.stats.Hits++
 		e.mu.Unlock()
+		ent.mu.Lock()
 		// A delta request that raced a concurrent identical insert donates
 		// its session to the hit entry (the session platform is exactly at
 		// the entry's state — the exact keys matched) instead of dropping
 		// the lineage's only warm state.
-		if taken != nil && !e.cfg.DisableSessions {
-			ent.mu.Lock()
-			if ent.session == nil {
-				ent.session, ent.sessionP = taken.sess, taken.p
-			}
-			ent.mu.Unlock()
+		if taken != nil && !e.cfg.DisableSessions && ent.session == nil {
+			ent.session, ent.sessionP = taken.sess, taken.p
 		}
-		ent.mu.Lock()
-		plan, planJSON, degraded := ent.plan, ent.json, ent.degraded
+		plan, planJSON := ent.plan, ent.json
 		ent.mu.Unlock()
-		return &PlanResult{Plan: plan, JSON: append([]byte(nil), planJSON...), Cached: true, Collapsed: collapsed, Degraded: degraded}, nil
+		return nil, &PlanResult{Plan: plan, JSON: append([]byte(nil), planJSON...), Cached: true, Collapsed: collapsed, Degraded: plan.Degraded}, nil
 	}
 	// Miss: claim the key with an unsolved entry so concurrent identical
 	// requests wait on this solve instead of duplicating it. A renumbered
@@ -967,52 +971,12 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 	if req.Degraded {
 		ent.refined = make(chan struct{})
 	}
-	el = e.insertLocked(ent)
+	e.insertLocked(ent)
 	e.stats.Misses++
 	e.hook(LookupEvent{Miss: true, Twin: twin})
 	e.mu.Unlock()
 	tc.Add(obs.Event{Kind: obs.SpanLookup, Miss: true, Twin: twin})
-
-	if req.Degraded {
-		return e.planDegraded(req, p, ent, el, taken, tc)
-	}
-
-	plan, planJSON, sess, sp, err := e.solve(ctx, req, p, ent.id(), taken, tc)
-	e.mu.Lock()
-	if err != nil {
-		if errors.Is(err, ErrCanceled) {
-			e.stats.Canceled++
-		}
-		ent.err = err
-		// Failed (and canceled) solves are not served from the cache.
-		if cur, ok := e.byKey[key]; ok && cur == el {
-			e.removeLocked(el)
-		}
-		e.mu.Unlock()
-		close(ent.ready)
-		return nil, err
-	}
-	e.mu.Unlock()
-	ent.mu.Lock()
-	ent.plan = plan
-	ent.json = planJSON
-	if e.cfg.DisableSessions {
-		// sp is exclusively owned and the session is being discarded, so it
-		// can serve as the snapshot directly.
-		ent.plat = sp
-	} else {
-		ent.plat = sp.Clone()
-		ent.session = sess
-		ent.sessionP = sp
-	}
-	ent.mu.Unlock()
-	close(ent.ready)
-	// A completed solve may unblock evictions deferred while it was in
-	// flight.
-	e.mu.Lock()
-	e.trimLocked()
-	e.mu.Unlock()
-	return &PlanResult{Plan: plan, JSON: append([]byte(nil), planJSON...), WarmResolved: taken != nil && taken.warm}, nil
+	return ent, nil, nil
 }
 
 // abandonHit accounts for a hit-path wait abandoned by its context: the
@@ -1025,148 +989,19 @@ func (e *Engine) abandonHit(ctx context.Context) error {
 	return canceled(ctx)
 }
 
-// planDegraded answers a freshly claimed cold miss with the engine's cheap
-// heuristic tree and schedules the LP-optimal solve as a background
-// refinement of the same cache entry. The degraded answer never touches
-// admission control — that is the point: overloaded tail latency collapses
-// from solve-cost to heuristic-cost. The refinement acquires a lane the
-// plain blocking way (no shedding, no deadline — the client already has its
-// answer).
-func (e *Engine) planDegraded(req PlanRequest, p *platform.Platform, ent *entry, el *list.Element, taken *takenSession, tc *obs.Trace) (*PlanResult, error) {
-	plan, planJSON, err := e.degradedPlan(req, p, ent.id())
-	e.mu.Lock()
-	if err != nil {
-		ent.err = err
-		if cur, ok := e.byKey[ent.key]; ok && cur == el {
-			e.removeLocked(el)
-		}
-		e.mu.Unlock()
-		close(ent.refined)
-		close(ent.ready)
-		return nil, err
+// lane claims a solve lane; it is the one branch of the pipeline. A
+// request-path solve (kind SpanSolve) goes through admission control
+// (acquire: it may queue, shed, or give up when ctx is done), records the
+// admit and queue-wait spans and fires the BeforeSolve hook. A degraded
+// refinement (kind SpanRefine) blocks for a lane the plain way — no hooks,
+// no shedding, no deadline: its client already has an answer.
+func (e *Engine) lane(ctx context.Context, kind obs.SpanKind, tc *obs.Trace) (release func(), err error) {
+	if kind == obs.SpanRefine {
+		e.sem <- struct{}{}
+		return e.releaseLane, nil
 	}
-	e.stats.Degraded++
-	e.mu.Unlock()
-	tc.Add(obs.Event{Kind: obs.SpanDegraded, Heuristic: plan.Heuristic})
-	ent.mu.Lock()
-	ent.plan = plan
-	ent.json = planJSON
-	ent.degraded = true
-	ent.plat = p.Clone()
-	ent.mu.Unlock()
-	close(ent.ready)
-	// The refinement solves its own snapshot: the caller keeps ownership of
-	// p after we return. A delta request's taken session is engine-owned
-	// and rides along instead.
-	refineP := p
-	if taken == nil {
-		refineP = p.Clone()
-	}
-	e.bg.Add(1)
-	go e.refine(ent, req, refineP, taken)
-	return &PlanResult{Plan: plan, JSON: append([]byte(nil), planJSON...), Degraded: true}, nil
-}
-
-// degradedPlan builds the immediate heuristic-only answer of degraded mode.
-// It always uses the engine's configured degraded heuristic — the request's
-// own Heuristic (honored by the refinement) may be LP-based, which would pay
-// the very solve degraded mode exists to avoid.
-func (e *Engine) degradedPlan(req PlanRequest, p *platform.Platform, id platformID) (*Plan, []byte, error) {
-	name := e.cfg.degradedHeuristic()
-	tree, tp, err := buildHeuristic(p, req.Source, name, nil, model.OnePortBidirectional)
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: degraded plan: %w", err)
-	}
-	plan := &Plan{
-		Fingerprint:         id.fp.String(),
-		ExactKey:            hex.EncodeToString(id.exact[:]),
-		Source:              req.Source,
-		Nodes:               p.NumNodes(),
-		Links:               p.NumLinks(),
-		Throughput:          tp, // heuristic lower bound until refined
-		Heuristic:           name,
-		Tree:                tree,
-		HeuristicThroughput: tp,
-		Degraded:            true,
-	}
-	planJSON, err := json.Marshal(plan)
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: marshal plan: %w", err)
-	}
-	return plan, planJSON, nil
-}
-
-// refine is the background half of degraded mode: solve the LP-optimal plan
-// and swap it into the still-cached entry. On failure the degraded plan
-// stays (still flagged Degraded) — the client already answered, so there is
-// nobody to surface the error to beyond the RefineFailures counter.
-func (e *Engine) refine(ent *entry, req PlanRequest, p *platform.Platform, taken *takenSession) {
-	defer e.bg.Done()
-	// The refinement records its own trace (outcome "refine", sharing the
-	// request's identity): the client's trace finished with the degraded
-	// answer before this solve even started.
-	rtc := e.cfg.Tracer.Begin("")
-	rtc.SetIdentity(traceIdentity(ent.key))
-	start := time.Now()
-	plan, planJSON, sess, sp, err := e.solveBackground(req, p, ent.id(), taken)
-	elapsed := time.Since(start)
-	e.latMu.Lock()
-	e.refineNs.Record(elapsed.Nanoseconds())
-	e.latMu.Unlock()
-	if err != nil {
-		e.mu.Lock()
-		e.stats.RefineFailures++
-		e.mu.Unlock()
-		rtc.Add(obs.Event{Kind: obs.SpanRefine, Err: err.Error()})
-		e.cfg.Tracer.Finish(rtc, obs.OutcomeError)
-		close(ent.refined)
-		return
-	}
-	e.mu.Lock()
-	e.stats.Refines++
-	e.mu.Unlock()
-	rev := obs.Event{
-		Kind:       obs.SpanRefine,
-		Warm:       taken != nil && taken.warm,
-		Rounds:     plan.LPRounds,
-		Cuts:       plan.LPCuts,
-		Pivots:     plan.LPPivots,
-		WarmPivots: plan.LPWarmPivots,
-		ColdPivots: plan.LPColdPivots,
-		ColdSolves: plan.LPColdSolves,
-	}
-	if rtc.Wall() {
-		rev.DurNs = elapsed.Nanoseconds()
-	}
-	rtc.Add(rev)
-	e.cfg.Tracer.Finish(rtc, obs.OutcomeRefine)
-	ent.mu.Lock()
-	ent.plan = plan
-	ent.json = planJSON
-	ent.degraded = false
-	ent.plat = sp.Clone()
-	if !e.cfg.DisableSessions {
-		ent.session = sess
-		ent.sessionP = sp
-	}
-	ent.mu.Unlock()
-	close(ent.refined)
-}
-
-// takenSession is a warm session handed from a base entry to the delta path.
-type takenSession struct {
-	sess *steady.Session
-	p    *platform.Platform // the session's live platform, already mutated
-	warm bool
-}
-
-// solve runs the steady-state solver (and the optional heuristic) for a
-// request-path cold miss: admission-controlled lane acquisition (which may
-// shed), the BeforeSolve hook, then the solver itself under the request
-// context.
-func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platform, id platformID, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
 	waitStart := time.Now()
-	release, err := e.acquire(ctx)
+	release, err = e.acquire(ctx)
 	wait := time.Since(waitStart)
 	if err != nil {
 		// The admit event records only admitted-vs-shed: the lane-vs-queued
@@ -1178,9 +1013,8 @@ func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platfor
 		case errors.Is(err, ErrCanceled):
 			tc.Add(obs.Event{Kind: obs.SpanCancel, At: "queue"})
 		}
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
-	defer release()
 	e.latMu.Lock()
 	e.queueWaitNs.Record(wait.Nanoseconds())
 	e.latMu.Unlock()
@@ -1191,24 +1025,27 @@ func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platfor
 	if e.cfg.Hooks != nil && e.cfg.Hooks.BeforeSolve != nil {
 		e.cfg.Hooks.BeforeSolve()
 	}
-	return e.runSolve(ctx, req, p, id, taken, tc)
+	return release, nil
 }
 
-// solveBackground runs a degraded-mode refinement solve: plain blocking lane
-// acquisition (no queue bound, no shedding, no hooks) and no deadline — the
-// client already received its degraded answer.
-func (e *Engine) solveBackground(req PlanRequest, p *platform.Platform, id platformID, taken *takenSession) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
-	e.sem <- struct{}{}
-	defer func() { <-e.sem }()
-	return e.runSolve(context.Background(), req, p, id, taken, nil)
+// solved is a finished plan on its way into its cache entry: the plan, its
+// canonical bytes, the platform it was planned on, and the session
+// positioned there (nil for the degraded heuristic answer).
+type solved struct {
+	plan *Plan
+	json []byte
+	sess *steady.Session
+	sp   *platform.Platform
 }
 
-// runSolve runs the steady-state solver (and the optional heuristic) on its
-// own clone of the platform; the caller holds a solve lane. id is the
-// platform's identity as the lookup computed it (the session platform is p or
-// a clone of it). It returns the plan, its canonical bytes, and a session
-// positioned at the solved state for future delta requests.
-func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Platform, id platformID, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
+// solve is the solve stage; the caller holds a solve lane. It runs the
+// steady-state solver on its own clone of the platform (or on the taken
+// session), records the engine counters and histograms, packs and builds the
+// optional heuristic, and marshals the plan. id is the platform's identity
+// as the lookup computed it. The span it records is of the given kind —
+// SpanSolve on the request path, SpanRefine for a degraded refinement — and
+// is otherwise the same for both.
+func (e *Engine) solve(ctx context.Context, kind obs.SpanKind, req PlanRequest, p *platform.Platform, id platformID, taken *takenSession, tc *obs.Trace) (*solved, error) {
 	var sess *steady.Session
 	var sp *platform.Platform
 	if taken != nil {
@@ -1232,13 +1069,13 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 	}
 	e.mu.Lock()
 	e.stats.Solves++
-	e.stats.LPPivots += int64(sol0(sol))
-	e.stats.LPWarmPivots += int64(after.WarmPivots - before.WarmPivots)
-	e.stats.LPColdPivots += int64(after.ColdPivots - before.ColdPivots)
 	if sol != nil {
+		e.stats.LPPivots += int64(sol.LPIterations)
 		e.stats.SepMaxFlows += int64(sol.MaxFlows)
 		e.stats.SepCertified += int64(sol.Certified)
 	}
+	e.stats.LPWarmPivots += int64(after.WarmPivots - before.WarmPivots)
+	e.stats.LPColdPivots += int64(after.ColdPivots - before.ColdPivots)
 	e.stats.WarmResolves += int64(after.WarmResolves - before.WarmResolves)
 	e.stats.SessionRebuilds += int64(after.Rebuilds - before.Rebuilds)
 	e.mu.Unlock()
@@ -1246,12 +1083,12 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 		if errors.Is(err, ErrCanceled) {
 			tc.Add(obs.Event{Kind: obs.SpanCancel, At: "solve"})
 		} else {
-			tc.Add(obs.Event{Kind: obs.SpanSolve, Err: err.Error()})
+			tc.Add(obs.Event{Kind: kind, Err: err.Error()})
 		}
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	sev := obs.Event{
-		Kind:       obs.SpanSolve,
+		Kind:       kind,
 		Warm:       taken != nil && taken.warm,
 		Rounds:     sol.Rounds,
 		Cuts:       sol.Cuts,
@@ -1281,29 +1118,23 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 	}
 	tc.Add(sev)
 	if packErr != nil {
-		return nil, nil, nil, nil, fmt.Errorf("service: tree packing: %w", packErr)
+		return nil, fmt.Errorf("service: tree packing: %w", packErr)
 	}
 
-	plan := &Plan{
-		Fingerprint:  id.fp.String(),
-		ExactKey:     hex.EncodeToString(id.exact[:]),
-		Source:       req.Source,
-		Nodes:        sp.NumNodes(),
-		Links:        sp.NumLinks(),
-		Throughput:   sol.Throughput,
-		UpperBound:   sol.UpperBound,
-		EdgeRate:     sol.EdgeRate,
-		LPRounds:     sol.Rounds,
-		LPCuts:       sol.Cuts,
-		LPPivots:     sol.LPIterations,
-		LPWarmPivots: sol.WarmPivots,
-		LPColdPivots: sol.ColdPivots,
-		LPColdSolves: sol.ColdSolves,
-	}
+	plan := planHeader(req, sp, id)
+	plan.Throughput = sol.Throughput
+	plan.UpperBound = sol.UpperBound
+	plan.EdgeRate = sol.EdgeRate
+	plan.LPRounds = sol.Rounds
+	plan.LPCuts = sol.Cuts
+	plan.LPPivots = sol.LPIterations
+	plan.LPWarmPivots = sol.WarmPivots
+	plan.LPColdPivots = sol.ColdPivots
+	plan.LPColdSolves = sol.ColdSolves
 	if req.Heuristic != "" {
 		tree, tp, err := buildHeuristic(sp, req.Source, req.Heuristic, sol.EdgeRate, model.OnePortBidirectional)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
 		plan.Heuristic = req.Heuristic
 		plan.Tree = tree
@@ -1322,17 +1153,147 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 	}
 	planJSON, err := json.Marshal(plan)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("service: marshal plan: %w", err)
+		return nil, fmt.Errorf("service: marshal plan: %w", err)
 	}
-	return plan, planJSON, sess, sp, nil
+	return &solved{plan: plan, json: planJSON, sess: sess, sp: sp}, nil
 }
 
-// sol0 guards against a nil solution on solver errors.
-func sol0(sol *steady.Solution) int {
-	if sol == nil {
-		return 0
+// planHeader starts a plan with what every plan carries — the platform's
+// identities and shape and the source — for the solve and the degraded
+// answer to complete.
+func planHeader(req PlanRequest, p *platform.Platform, id platformID) *Plan {
+	return &Plan{
+		Fingerprint: id.fp.String(),
+		ExactKey:    hex.EncodeToString(id.exact[:]),
+		Source:      req.Source,
+		Nodes:       p.NumNodes(),
+		Links:       p.NumLinks(),
 	}
-	return sol.LPIterations
+}
+
+// settle is the last stage of the pipeline: it writes a finished plan (its
+// bytes, its platform snapshot and, unless sessions are disabled, its warm
+// session) into the entry, or, when the entry's first answer failed, records
+// the error and removes the entry — failed and canceled solves are not
+// served from the cache. A failed refinement does neither: the degraded plan
+// stays. Then it closes done (ent.ready, or ent.refined for a refinement)
+// and trims the cache, since a finished entry may unblock evictions deferred
+// while it was in flight.
+func (e *Engine) settle(ent *entry, s *solved, err error, done chan struct{}) {
+	if s != nil {
+		ent.mu.Lock()
+		ent.plan, ent.json = s.plan, s.json
+		// Without a session to keep, sp is exclusively owned and serves as
+		// the snapshot directly.
+		ent.plat = s.sp
+		if s.sess != nil && !e.cfg.DisableSessions {
+			ent.plat = s.sp.Clone()
+			ent.session, ent.sessionP = s.sess, s.sp
+		}
+		ent.mu.Unlock()
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err != nil && done == ent.ready {
+		if errors.Is(err, ErrCanceled) {
+			e.stats.Canceled++
+		}
+		ent.err = err
+		if el, ok := e.byKey[ent.key]; ok && el.Value.(*entry) == ent {
+			e.removeLocked(el)
+		}
+		if ent.refined != nil {
+			close(ent.refined)
+		}
+	}
+	close(done)
+	e.trimLocked()
+}
+
+// degrade answers a freshly claimed cold miss in degraded mode: the grow-tree
+// heuristic's plan settles into the entry at once and a background
+// refinement replaces it with the LP-optimal one. The heuristic is fixed —
+// the request's own (honoured by the refinement) may be LP-based, which
+// would pay the very solve degraded mode exists to avoid — and the answer
+// never touches admission control: overloaded tail latency collapses from
+// solve cost to heuristic cost.
+func (e *Engine) degrade(req PlanRequest, p *platform.Platform, ent *entry, taken *takenSession, tc *obs.Trace) (*PlanResult, error) {
+	plan := planHeader(req, p, ent.id())
+	plan.Heuristic = heuristics.NameGrowTree
+	plan.Degraded = true
+	tree, tp, err := buildHeuristic(p, req.Source, plan.Heuristic, nil, model.OnePortBidirectional)
+	var planJSON []byte
+	if err != nil {
+		err = fmt.Errorf("service: degraded plan: %w", err)
+	} else {
+		// Throughput is the heuristic tree's, a lower bound, until the
+		// refinement lands.
+		plan.Tree = tree
+		plan.Throughput = tp
+		plan.HeuristicThroughput = tp
+		if planJSON, err = json.Marshal(plan); err != nil {
+			err = fmt.Errorf("service: marshal plan: %w", err)
+		}
+	}
+	if err != nil {
+		e.settle(ent, nil, err, ent.ready)
+		return nil, err
+	}
+	e.mu.Lock()
+	e.stats.Degraded++
+	e.mu.Unlock()
+	tc.Add(obs.Event{Kind: obs.SpanDegraded, Heuristic: plan.Heuristic})
+	e.settle(ent, &solved{plan: plan, json: planJSON, sp: p.Clone()}, nil, ent.ready)
+	// The refinement solves its own snapshot: the caller keeps ownership of
+	// p after we return. A delta request's taken session is engine-owned
+	// and rides along instead.
+	refineP := p
+	if taken == nil {
+		refineP = p.Clone()
+	}
+	e.bg.Add(1)
+	go e.refine(ent, req, refineP, taken)
+	return &PlanResult{Plan: plan, JSON: append([]byte(nil), planJSON...), Degraded: true}, nil
+}
+
+// refine is the background half of degraded mode: lane → solve → settle on a
+// blocking lane and without a deadline, swapping the LP-optimal plan into the
+// still-cached entry. On failure the degraded plan stays (still flagged
+// Degraded) — the client already has its answer, so there is nobody to
+// surface the error to beyond the RefineFailures counter.
+func (e *Engine) refine(ent *entry, req PlanRequest, p *platform.Platform, taken *takenSession) {
+	defer e.bg.Done()
+	// The refinement records its own trace (outcome "refine", sharing the
+	// request's identity): the client's trace finished with the degraded
+	// answer before this solve even started.
+	rtc := e.cfg.Tracer.Begin("")
+	rtc.SetIdentity(traceIdentity(ent.key))
+	ctx := context.Background()
+	start := time.Now()
+	release, _ := e.lane(ctx, obs.SpanRefine, rtc) // a refinement's lane blocks, it never fails
+	s, err := e.solve(ctx, obs.SpanRefine, req, p, ent.id(), taken, rtc)
+	release()
+	e.latMu.Lock()
+	e.refineNs.Record(time.Since(start).Nanoseconds())
+	e.latMu.Unlock()
+	outcome := obs.OutcomeRefine
+	e.mu.Lock()
+	if err != nil {
+		e.stats.RefineFailures++
+		outcome = obs.OutcomeError
+	} else {
+		e.stats.Refines++
+	}
+	e.mu.Unlock()
+	e.cfg.Tracer.Finish(rtc, outcome)
+	e.settle(ent, s, err, ent.refined)
+}
+
+// takenSession is a warm session handed from a base entry to the delta path.
+type takenSession struct {
+	sess *steady.Session
+	p    *platform.Platform // the session's live platform, already mutated
+	warm bool
 }
 
 // planFromBase serves a near-duplicate request: the cached platform named by
@@ -1525,22 +1486,8 @@ func (e *Engine) EvaluateContext(ctx context.Context, req EvaluateRequest) (*Eva
 // evaluated with link and node contention. The sweep engine and the service
 // share this helper.
 func EvaluateHeuristic(p *platform.Platform, source int, name string, rates []float64, m model.PortModel) (float64, error) {
-	builder, err := heuristics.ByNameWithRates(name, rates)
-	if err != nil {
-		return 0, err
-	}
-	if rb, ok := builder.(heuristics.RoutingBuilder); ok {
-		routing, err := rb.BuildRouting(p, source)
-		if err != nil {
-			return 0, err
-		}
-		return throughput.RoutingThroughput(p, routing, m), nil
-	}
-	tree, err := builder.Build(p, source)
-	if err != nil {
-		return 0, err
-	}
-	return throughput.TreeThroughput(p, tree, m), nil
+	_, tp, err := buildHeuristic(p, source, name, rates, m)
+	return tp, err
 }
 
 // buildHeuristic builds the named heuristic and returns its tree (nil for

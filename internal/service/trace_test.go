@@ -241,6 +241,53 @@ func TestEngineTraceShedAndDegraded(t *testing.T) {
 	if refines[0].Key != deg[0].Key {
 		t.Fatalf("refine trace does not share the degraded request's identity: %q vs %q", refines[0].Key, deg[0].Key)
 	}
+
+	// The refine span carries the separation counters: every round, every
+	// destination is either a fresh max-flow or certified by the chained one.
+	rev := refines[0].Events[0]
+	if alive := smallPlatform(t, 77).NumAliveNodes(); rev.Flows+rev.Certified != rev.Rounds*(alive-1) {
+		t.Fatalf("refine span flows %d + certified %d != rounds %d x %d destinations", rev.Flows, rev.Certified, rev.Rounds, alive-1)
+	}
+	// It is the solve span of the same request served without degrading,
+	// in every deterministic field but its kind.
+	e3 := tracedEngine(Config{Workers: 2})
+	if _, err := e3.Plan(PlanRequest{Platform: smallPlatform(t, 77), Source: 0}); err != nil {
+		t.Fatal(err)
+	}
+	misses := e3.Tracer().Snapshot(obs.OutcomeMiss, 0)
+	if len(misses) != 1 {
+		t.Fatalf("miss traces = %d, want 1", len(misses))
+	}
+	var sev obs.Event
+	for _, ev := range misses[0].Events {
+		if ev.Kind == obs.SpanSolve {
+			sev = ev
+		}
+	}
+	sev.Kind = obs.SpanRefine
+	if sev != rev {
+		t.Fatalf("refine span %+v differs from the solve span %+v", rev, sev)
+	}
+
+	// A degraded k-tree request packs in its refinement, and the refine span
+	// says what the packing cost.
+	if _, err := e2.Plan(PlanRequest{Platform: smallPlatform(t, 78), Source: 0, Trees: 4, Degraded: true}); err != nil {
+		t.Fatal(err)
+	}
+	e2.Drain()
+	refines = e2.Tracer().Snapshot(obs.OutcomeRefine, 0)
+	if len(refines) != 2 {
+		t.Fatalf("refine traces = %d, want 2", len(refines))
+	}
+	packed := 0
+	for _, tr := range refines {
+		if tr.Events[0].PackRounds > 0 {
+			packed++
+		}
+	}
+	if packed != 1 {
+		t.Fatalf("refine spans with packing rounds = %d, want 1 (the trees=4 request): %+v, %+v", packed, refines[0].Events, refines[1].Events)
+	}
 }
 
 // TestEngineTraceCanceled checks that a request canceled before admission
