@@ -1,6 +1,7 @@
 // Package graph provides a lightweight directed-graph substrate used by the
 // broadcast-tree library: adjacency storage, traversals, reachability under
-// edge subsets, shortest paths, and a union-find structure.
+// edge subsets, shortest paths, minimum-cost arborescences, and a union-find
+// structure.
 //
 // Nodes are dense integer identifiers in [0, N). Edges are directed and
 // carry a float64 weight (in this repository the weight is the time T(u,v)

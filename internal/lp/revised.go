@@ -1152,7 +1152,9 @@ func (rv *Revised) duals() []float64 {
 // first request, from the basis the solve left behind — one BTRAN through
 // scratch the solver does not carry across solves, so asking changes nothing
 // about the next warm start and not asking costs nothing. The slice is shared
-// with the handle and with Solution.Dual: read it, do not write it.
+// with the handle and with Solution.Dual: read it, do not write it. Entries
+// carry round-off of either sign: a dual that is 0 in exact arithmetic may
+// come back as ±1e-15, even against the sign convention.
 func (rv *Revised) Duals() []float64 {
 	if rv.dual == nil && rv.built && rv.status == Optimal {
 		rv.dual = rv.duals()

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/platform"
 )
@@ -13,7 +14,7 @@ import (
 // arborescence exists from any root, plus chords, parallel links included —
 // with up to dead crashed nodes bridged over, and returns it with its live
 // links as a support.
-func randomSupport(rng *rand.Rand, n, chords, dead int) (*platform.Platform, int, []edge) {
+func randomSupport(rng *rand.Rand, n, chords, dead int) (*platform.Platform, int, []graph.Edge) {
 	p := platform.New(n)
 	cost := model.AffineCost{PerUnit: 1}
 	for u := 0; u < n; u++ {
@@ -37,10 +38,10 @@ func randomSupport(rng *rand.Rand, n, chords, dead int) (*platform.Platform, int
 			panic(err)
 		}
 	}
-	var support []edge
+	var support []graph.Edge
 	for id := 0; id < p.NumLinks(); id++ {
 		if l := p.Link(id); p.NodeAlive(l.From) && p.NodeAlive(l.To) {
-			support = append(support, edge{from: l.From, to: l.To, id: id})
+			support = append(support, graph.Edge{ID: id, From: l.From, To: l.To})
 		}
 	}
 	return p, root, support
@@ -67,10 +68,10 @@ func TestPricerMatchesRecursiveChuLiu(t *testing.T) {
 			}
 			priced := make([]refEdge, len(support))
 			for i, e := range support {
-				priced[i] = refEdge{from: e.from, to: e.to, cost: cost[i], id: e.id}
+				priced[i] = refEdge{from: e.From, to: e.To, cost: cost[i], id: e.ID}
 			}
 			wantEdges, wantTotal, wantOK := refMinCostArborescence(p, root, priced)
-			ids, total, ok := pr.arborescence(cost)
+			ids, total, ok := pr.arb.Solve(cost)
 			if ok != wantOK {
 				t.Fatalf("trial %d round %d: ok=%v, reference ok=%v", trial, round, ok, wantOK)
 			}
@@ -79,7 +80,7 @@ func TestPricerMatchesRecursiveChuLiu(t *testing.T) {
 			}
 			got := make([]int, len(ids))
 			for i, idx := range ids {
-				got[i] = support[idx].id
+				got[i] = support[idx].ID
 			}
 			want := make([]int, len(wantEdges))
 			for i, e := range wantEdges {
@@ -101,11 +102,15 @@ func TestPricerMatchesRecursiveChuLiu(t *testing.T) {
 func TestPricerUnreachable(t *testing.T) {
 	p := platform.New(3)
 	id := p.MustAddLink(0, 1, model.AffineCost{PerUnit: 1})
-	pr := newPricer(p, 0, []edge{{from: 0, to: 1, id: id}})
-	if _, _, ok := pr.arborescence([]float64{0}); ok {
+	pr := newPricer(p, 0, []graph.Edge{{ID: id, From: 0, To: 1}})
+	if _, _, ok := pr.arb.Solve([]float64{0}); ok {
 		t.Fatal("arborescence reported over a support that never reaches node 2")
 	}
 }
+
+// costEps is graph.MinArborescence's tie tolerance, which the reference
+// breaks ties with as the pricer does.
+const costEps = 1e-12
 
 // refEdge, refMinCostArborescence and refChuLiu are the pricing this package
 // ran before the pricer kept its buffers — recursive, one contraction per

@@ -3,6 +3,7 @@ package pack
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/platform"
 	"repro/internal/steady"
@@ -16,11 +17,11 @@ func DecomposeAgainstOracle(p *platform.Platform, source int, sol *steady.Soluti
 	round := 0
 	var oracleErr error
 	pk, err := decompose(p, source, sol, opts, func(m *master, value float64) {
-		support := make([]edge, 0, len(m.varOf))
+		support := make([]graph.Edge, 0, len(m.varOf))
 		caps := make([]float64, 0, len(m.varOf))
 		for id, v := range m.varOf {
 			if v >= 0 {
-				support = append(support, edge{id: id})
+				support = append(support, graph.Edge{ID: id})
 				caps = append(caps, sol.EdgeRate[id])
 			}
 		}
@@ -44,7 +45,7 @@ func DecomposeAgainstOracle(p *platform.Platform, source int, sol *steady.Soluti
 // per-edge weights staying within the support capacities — rebuilt from
 // scratch and cold-solved on the dense tableau. It returns the LP solution
 // (for its duals) plus the per-tree weights.
-func refSolveMaster(trees []*platform.Tree, support []edge, caps []float64) (*lp.Solution, []float64, error) {
+func refSolveMaster(trees []*platform.Tree, support []graph.Edge, caps []float64) (*lp.Solution, []float64, error) {
 	prob := lp.NewProblem(len(trees))
 	obj := make([]float64, len(trees))
 	for i := range obj {
@@ -55,7 +56,7 @@ func refSolveMaster(trees []*platform.Tree, support []edge, caps []float64) (*lp
 	// contract pricing relies on). usage[edge index] -> tree terms.
 	rowOf := make(map[int]int, len(support)) // link ID -> support index
 	for i, e := range support {
-		rowOf[e.id] = i
+		rowOf[e.ID] = i
 	}
 	terms := make([][]lp.Term, len(support))
 	for ti, t := range trees {

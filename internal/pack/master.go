@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/platform"
 )
@@ -29,15 +30,15 @@ type master struct {
 	keyBuf []byte
 }
 
-func newMaster(support []edge, rate []float64, numLinks int) *master {
+func newMaster(support []graph.Edge, rate []float64, numLinks int) *master {
 	m := &master{varOf: make([]int, numLinks), seen: map[string]bool{}}
 	for id := range m.varOf {
 		m.varOf[id] = -1
 	}
 	prob := lp.NewProblem(len(support))
 	for i, e := range support {
-		m.varOf[e.id] = i
-		prob.SetObjectiveCoeff(i, -rate[e.id]) // the LP layer maximizes
+		m.varOf[e.ID] = i
+		prob.SetObjectiveCoeff(i, -rate[e.ID]) // the LP layer maximizes
 	}
 	m.rv = lp.NewRevised(prob, nil)
 	return m

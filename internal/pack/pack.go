@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/platform"
 	"repro/internal/steady"
 )
@@ -120,11 +121,11 @@ func decompose(p *platform.Platform, source int, sol *steady.Solution, opts *Opt
 	// Support graph: live links with positive optimal rate between alive
 	// nodes, in link-ID order (the order every deterministic tie-break
 	// below leans on).
-	support := make([]edge, 0, p.NumLinks())
+	support := make([]graph.Edge, 0, p.NumLinks())
 	for id := 0; id < p.NumLinks(); id++ {
 		l := p.Link(id)
 		if p.LinkLive(id) && p.NodeAlive(l.From) && p.NodeAlive(l.To) && sol.EdgeRate[id] > supportEps {
-			support = append(support, edge{from: l.From, to: l.To, id: id})
+			support = append(support, graph.Edge{ID: id, From: l.From, To: l.To})
 		}
 	}
 	if len(support) == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -41,6 +42,22 @@ func bigClusterPlatform(t testing.TB, seed int64) *platform.Platform {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// assertCertifiedPlan checks a plan of the platform with steady.Certify,
+// which trusts no LP: the plan's rates must carry its throughput within the
+// one-port constraints, and the port prices of a fresh solve of the same
+// platform must bound it, both to 1e-6.
+func assertCertifiedPlan(t *testing.T, p *platform.Platform, plan *Plan, label string) {
+	t.Helper()
+	ref, err := steady.Solve(p, plan.Source, nil)
+	if err != nil {
+		t.Fatalf("%s: reference solve: %v", label, err)
+	}
+	sol := &steady.Solution{Throughput: plan.Throughput, EdgeRate: plan.EdgeRate, PortDual: ref.PortDual}
+	if _, _, err := steady.Certify(p, plan.Source, sol); err != nil {
+		t.Errorf("%s: %v", label, err)
+	}
 }
 
 // smallPlatform generates a small random platform.
@@ -165,18 +182,12 @@ func TestPlanDeltaPathWarmThenDerived(t *testing.T) {
 		t.Error("first delta request should reuse the base entry's warm session")
 	}
 
-	// Oracle: cold solve of the independently mutated platform.
+	// Oracle: the certificate of the independently mutated platform.
 	oracle := p.Clone()
 	if _, err := oracle.ApplyDelta(deltas[0]); err != nil {
 		t.Fatal(err)
 	}
-	want, err := steady.SolveReference(oracle, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mut.Plan.Throughput-want.Throughput) > 1e-6*math.Max(1, want.Throughput) {
-		t.Errorf("warm delta plan %v != cold oracle %v", mut.Plan.Throughput, want.Throughput)
-	}
+	assertCertifiedPlan(t, oracle, mut.Plan, "warm delta plan")
 	if mut.Plan.Fingerprint != oracle.Fingerprint().String() {
 		t.Error("mutated plan fingerprint does not match the mutated platform")
 	}
@@ -210,13 +221,7 @@ func TestPlanDeltaPathWarmThenDerived(t *testing.T) {
 	if _, err := oracle2.ApplyDelta(platform.Delta{Kind: platform.DeltaScaleLink, Link: 4, Factor: 2.5}); err != nil {
 		t.Fatal(err)
 	}
-	want2, err := steady.SolveReference(oracle2, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(other.Plan.Throughput-want2.Throughput) > 1e-6*math.Max(1, want2.Throughput) {
-		t.Errorf("derived delta plan %v != cold oracle %v", other.Plan.Throughput, want2.Throughput)
-	}
+	assertCertifiedPlan(t, oracle2, other.Plan, "derived delta plan")
 
 	if st := e.Stats(); st.DeltaPlans != 3 || st.WarmResolves < 1 {
 		t.Errorf("stats = %+v, want 3 delta plans and >= 1 warm resolve", st)
@@ -246,13 +251,7 @@ func TestPlanDeltaChain(t *testing.T) {
 		if _, err := oracle.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		want, err := steady.SolveReference(oracle.Clone(), 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(res.Plan.Throughput-want.Throughput) > 1e-6*math.Max(1, want.Throughput) {
-			t.Fatalf("step %d: chained plan %v != cold oracle %v", step, res.Plan.Throughput, want.Throughput)
-		}
+		assertCertifiedPlan(t, oracle, res.Plan, fmt.Sprintf("step %d: chained plan", step))
 	}
 	if warm != 4 {
 		t.Errorf("warm resolves along the chain = %d, want 4", warm)
@@ -310,13 +309,7 @@ func TestPlanDisableSessionsStillServesDeltas(t *testing.T) {
 	if _, err := oracle.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	want, err := steady.SolveReference(oracle, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mut.Plan.Throughput-want.Throughput) > 1e-6*math.Max(1, want.Throughput) {
-		t.Errorf("session-less delta plan %v != cold oracle %v", mut.Plan.Throughput, want.Throughput)
-	}
+	assertCertifiedPlan(t, oracle, mut.Plan, "session-less delta plan")
 	// Repeated identical requests still hit.
 	hit, err := e.Plan(PlanRequest{Platform: p, Source: 0})
 	if err != nil {
@@ -494,8 +487,8 @@ func TestPlanDeltaBaseAmbiguousTwinsNeedExactKey(t *testing.T) {
 		t.Fatalf("ambiguous base: err = %v, want ErrAmbiguousBase", err)
 	}
 
-	// BaseExact selects the intended twin: the mutated plans must match the
-	// cold oracles of each twin's own numbering.
+	// BaseExact selects the intended twin: the mutated plans must certify
+	// against each twin's own numbering.
 	for _, tc := range []struct {
 		plat *platform.Platform
 		res  *PlanResult
@@ -513,13 +506,7 @@ func TestPlanDeltaBaseAmbiguousTwinsNeedExactKey(t *testing.T) {
 		if _, err := oracle.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		want, err := steady.SolveReference(oracle, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(mut.Plan.Throughput-want.Throughput) > 1e-6*math.Max(1, want.Throughput) {
-			t.Errorf("pinned delta plan %v != cold oracle %v", mut.Plan.Throughput, want.Throughput)
-		}
+		assertCertifiedPlan(t, oracle, mut.Plan, "pinned delta plan")
 	}
 
 	if _, err := e.Plan(PlanRequest{Base: rp.Plan.Fingerprint, BaseExact: "zz", Source: 0}); !errors.Is(err, ErrBadRequest) {

@@ -36,7 +36,7 @@ func TestResolveContextCanceledThenResolves(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve after cancellation: %v", err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "post-cancel")
+	checkCertified(t, p, 0, sol, "post-cancel")
 
 	// The session must keep working across a mutation too (warm or rebuilt
 	// — correctness is what matters after a cancellation).
@@ -47,7 +47,7 @@ func TestResolveContextCanceledThenResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "post-cancel mutation")
+	checkCertified(t, p, 0, sol, "post-cancel mutation")
 }
 
 // TestResolveContextMidStreamCancel cancels between two resolves of a live
@@ -76,5 +76,5 @@ func TestResolveContextMidStreamCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve after mid-stream cancellation: %v", err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "post-mid-stream-cancel")
+	checkCertified(t, p, 0, sol, "post-mid-stream-cancel")
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/platform"
 	"repro/internal/scenarios"
 	"repro/internal/steady"
 	"repro/internal/topology"
@@ -18,9 +19,9 @@ import (
 // to lp.Revised, ended "optimal" on a point that violates LP (2): throughput
 // 104.000 where the cutting-plane masters agree on 89.016 (instance 2),
 // 92.331 where they find 92.552 (instance 3), the right throughput on rates
-// with a one-port occupation of 2.7 (instance 4). certifyDirect rejected all
-// six; on the revised simplex each must solve, pass the certificate, and
-// agree with the cutting-plane optimum within 1e-6.
+// with a one-port occupation of 2.7 (instance 4). The model check SolveDirect
+// runs (now Certify) rejected all six; on the revised simplex each must
+// solve, pass Certify, and agree with the cutting-plane optimum within 1e-6.
 func TestSolveDirectAgreesWithCuttingPlaneOnGrid16(t *testing.T) {
 	grid, err := scenarios.Get(scenarios.NameGrid)
 	if err != nil {
@@ -46,6 +47,45 @@ func TestSolveDirectAgreesWithCuttingPlaneOnGrid16(t *testing.T) {
 				t.Errorf("SolveDirect %v, cutting plane %v (diff %v)", direct.Throughput, cut.Throughput, diff)
 			}
 		})
+	}
+}
+
+// TestSolveDirectOnMutatedPlatforms: SolveDirect writes LP (2) over the
+// live state — alive destinations and relays, live links, current slice
+// times — so on a mutated platform it agrees with Solve within 1e-6 and its
+// point passes Certify. (It used to write LP (2) over every link and node: on
+// ring:8 with link 0 down it reported 94.28 where the live optimum is 63.37.)
+func TestSolveDirectOnMutatedPlatforms(t *testing.T) {
+	ring, err := scenarios.Get(scenarios.NameRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []platform.Delta{
+		{Kind: platform.DeltaLinkDown, Link: 0},
+		{Kind: platform.DeltaNodeDown, Node: 1},
+		{Kind: platform.DeltaScaleLink, Link: 0, Factor: 3},
+	} {
+		p, err := ring.Generate(8, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ApplyDelta(d); err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		cut, err := steady.Solve(p, 0, nil)
+		if err != nil {
+			t.Fatalf("%v: cutting plane: %v", d, err)
+		}
+		direct, err := steady.SolveDirect(p, 0, nil)
+		if err != nil {
+			t.Fatalf("%v: SolveDirect: %v", d, err)
+		}
+		if diff := math.Abs(direct.Throughput - cut.Throughput); diff > 1e-6*math.Max(1, cut.Throughput) {
+			t.Errorf("%v: SolveDirect %v, cutting plane %v (diff %v)", d, direct.Throughput, cut.Throughput, diff)
+		}
+		if _, _, err := steady.Certify(p, 0, direct); err != nil {
+			t.Errorf("%v: %v", d, err)
+		}
 	}
 }
 
@@ -75,7 +115,7 @@ func TestDenseSolveNeverReportsViolatingPointOnGrid16(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			problem, nVar0, tpVar := steady.DirectProblem(p, 0)
+			problem, read := steady.DirectProblem(p, 0)
 			dense, err := lp.Solve(problem, nil)
 			if err != nil {
 				if !errors.Is(err, lp.ErrNotCertified) {
@@ -86,8 +126,7 @@ func TestDenseSolveNeverReportsViolatingPointOnGrid16(t *testing.T) {
 			if !dense.Feasible {
 				return
 			}
-			sol := &steady.Solution{Throughput: dense.X[tpVar], EdgeRate: dense.X[nVar0 : nVar0+p.NumLinks()]}
-			if err := steady.CertifyDirect(p, 0, sol); err != nil {
+			if _, _, err := steady.Certify(p, 0, read(dense)); err != nil {
 				t.Errorf("dense solve reported status %v on a point that violates LP (2): %v", dense.Status, err)
 			}
 		})

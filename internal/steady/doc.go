@@ -5,7 +5,7 @@
 // reference ("relative performance" denominator) for every STP heuristic,
 // and its per-edge message rates n(u,v) seed the LP-based heuristics.
 //
-// Two solvers are provided, and one oracle:
+// Two solvers are provided, and one certificate:
 //
 //   - Solve uses a cutting-plane decomposition: by max-flow/min-cut duality,
 //     the projection of LP (2) onto the edge rates n and the throughput TP
@@ -24,17 +24,12 @@
 //     cannot be completed costs one cold solve. There is no other master and
 //     no option that selects one.
 //
-//   - SolveDirect encodes LP (2) directly (per-destination flow variables);
-//     its size grows as |E|·|V| so it is only practical for small platforms,
-//     where it cross-checks the cutting-plane solver in tests. It is solved
-//     on lp.Revised (the dense tableau pivots on round-off on this LP's
-//     all-zero right-hand sides), and the point is certified against the
-//     model before it is reported; a point that fails is ErrLPFailed, never
-//     a throughput.
+//   - SolveDirect encodes LP (2) directly over the live state
+//     (per-destination flow variables, |E|·|V| of them), for small platforms
+//     where it cross-checks the cutting-plane solver in tests.
 //
-//   - SolveReference is the differential oracle of the two: the same
-//     decomposition with the master re-solved from the slack basis on the
-//     dense simplex (lp.Solve) every round, nothing carried between rounds or
-//     calls. It is reachable from no request, configuration or flag; tests
-//     hold Solve, Session and the planning service to it within 1e-6.
+//   - Certify trusts no LP: the edge rates must carry the throughput within
+//     the one-port constraints (a lower bound), and the final master's port
+//     prices (PortDual), through one minimum-cost arborescence, bound it from
+//     above. Tests hold every solver and the planning service to it.
 package steady

@@ -120,24 +120,9 @@ func (pk *Packing) Validate(p *platform.Platform, edgeRate []float64, tol float6
 			return fmt.Errorf("steady: packed rate %v on link %d (%d->%d) exceeds LP edge rate %v", r, id, l.From, l.To, edgeRate[id])
 		}
 	}
-	for u := 0; u < p.NumNodes(); u++ {
-		if !p.NodeAlive(u) {
-			continue
-		}
-		for dir, ids := range [][]int{p.InLinkIDs(u), p.OutLinkIDs(u)} {
-			occ := 0.0
-			for _, id := range ids {
-				if p.LinkLive(id) {
-					occ += p.SliceTime(id) * rates[id]
-				}
-			}
-			if occ > 1+tol {
-				side := "incoming"
-				if dir == 1 {
-					side = "outgoing"
-				}
-				return fmt.Errorf("steady: node %d %s one-port occupation %v exceeds 1 under the packing", u, side, occ)
-			}
+	for port, busy := range portLoads(p, rates) {
+		if busy > 1+tol {
+			return fmt.Errorf("steady: node %d one-port occupation %v exceeds 1 under the packing", port%p.NumNodes(), busy)
 		}
 	}
 	return nil

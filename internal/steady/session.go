@@ -38,9 +38,8 @@ import (
 //     so crashes must take the rebuild path where such cuts are filtered
 //     out.)
 //
-// SolveReference is the differential-testing oracle for both reuses: it
-// builds the master of the platform's current state from nothing and
-// re-solves it from scratch on the dense simplex every round.
+// Certify checks either reuse: the final master's port prices bound the
+// optimum of the current state whatever rows the master accumulated.
 type Session struct {
 	p      *platform.Platform
 	source int
@@ -52,7 +51,7 @@ type Session struct {
 	rev     *lp.Revised
 	seen    map[string]struct{} // packed link sets (packCut) of the master's cut rows
 	cutSeq  int                 // monotone row counter driving the anti-degeneracy RHS perturbation
-	times   []float64           // per-link slice times priced into the current master
+	occ     []occRow            // the master's occupation rows, for Solution.PortDual
 
 	// Cut pool: source-side node sets of every cut ever separated, in
 	// separation order, each stored once as its packed signature (packSide).
@@ -87,15 +86,6 @@ type SessionStats struct {
 	// cumulative number of pooled cuts re-materialized into rebuilt masters.
 	PoolCuts   int
 	PoolReused int
-}
-
-// master is what the cutting-plane loop asks of a master LP solver: re-solve
-// the session's problem over every row appended so far, and account for the
-// pivots. lp.Revised is the production implementor; the only other one is the
-// dense cold re-solve of SolveReference.
-type master interface {
-	SolveContext(ctx context.Context) (*lp.Solution, error)
-	Stats() lp.SolveStats
 }
 
 // NewSession returns a session over the platform. Nothing is solved until
@@ -173,7 +163,6 @@ func (s *Session) warmResolve(ctx context.Context, deltas []platform.Delta) (*So
 	for _, d := range deltas {
 		switch d.Kind {
 		case platform.DeltaScaleLink:
-			s.times[d.Link] = p.SliceTime(d.Link)
 			if p.LinkLive(d.Link) {
 				l := p.Link(d.Link)
 				touched[l.From] = true
@@ -192,9 +181,9 @@ func (s *Session) warmResolve(ctx context.Context, deltas []platform.Delta) (*So
 		if !touched[u] || !p.NodeAlive(u) {
 			continue
 		}
-		s.appendOccupationRows(u)
+		s.occ = addOccupationRows(s.problem, s.occ, p, u, 0)
 	}
-	return s.runLoop(ctx, s.rev)
+	return s.runLoop(ctx)
 }
 
 // rebuild constructs a fresh master over the platform's current live state
@@ -203,7 +192,7 @@ func (s *Session) rebuild(ctx context.Context) (*Solution, error) {
 	s.stats.Rebuilds++
 	s.buildProblem()
 	s.rev = lp.NewRevised(s.problem, s.opts.lpOptions())
-	return s.runLoop(ctx, s.rev)
+	return s.runLoop(ctx)
 }
 
 // dropMaster leaves the session without a master, so the next Resolve
@@ -226,13 +215,10 @@ func (s *Session) buildProblem() {
 	// magnitude stays proportional to the rows actually present, not to the
 	// session's lifetime.
 	s.cutSeq = 0
-	s.times = make([]float64, e)
-	for id := 0; id < e; id++ {
-		s.times[id] = p.SliceTime(id)
-	}
+	s.occ = s.occ[:0]
 	for u := 0; u < p.NumNodes(); u++ {
 		if p.NodeAlive(u) {
-			s.appendOccupationRows(u)
+			s.occ = addOccupationRows(s.problem, s.occ, p, u, 0)
 		}
 	}
 
@@ -274,23 +260,6 @@ func (s *Session) buildProblem() {
 		}
 		if s.appendCutRow(s.crossingLiveLinks(side)) {
 			s.stats.PoolReused++
-		}
-	}
-}
-
-// appendOccupationRows appends the node's current one-port occupation rows
-// (incoming and outgoing, over live links at current slice times).
-func (s *Session) appendOccupationRows(u int) {
-	p := s.p
-	for _, ids := range [][]int{p.InLinkIDs(u), p.OutLinkIDs(u)} {
-		terms := make([]lp.Term, 0, len(ids))
-		for _, id := range ids {
-			if p.LinkLive(id) {
-				terms = append(terms, lp.Term{Var: id, Coeff: s.times[id]})
-			}
-		}
-		if len(terms) > 0 {
-			s.problem.AddSparseConstraint(terms, lp.LE, 1)
 		}
 	}
 }
@@ -443,9 +412,9 @@ func unpackSide(packed string, side []bool) {
 // the destinations that are not violated, a fresh max-flow finds the cuts
 // of the others), append them, repeat until no cut is violated or the
 // upper/lower-bound gap closes. The returned Solution reports the pivots and
-// master solves of this Resolve only.
-func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
-	p, opts := s.p, s.opts
+// master solves of this Resolve only, and the final master's port prices.
+func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
+	p, opts, rev := s.p, s.opts, s.rev
 	e := p.NumLinks()
 	tpVar := e
 	sep := s.sep
@@ -455,14 +424,15 @@ func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 
 	sol := &Solution{EdgeRate: make([]float64, e)}
 	tol := opts.tolerance()
-	before := m.Stats()
+	before := rev.Stats()
 	solveMaster := func() (*lp.Solution, error) {
 		start := time.Now()
 		defer func() { sol.LPWallNanos += time.Since(start).Nanoseconds() }()
-		return m.SolveContext(ctx)
+		return rev.SolveContext(ctx)
 	}
-	finalize := func() {
-		st := m.Stats()
+	// The counters settle on every exit, the error ones included.
+	defer func() {
+		st := rev.Stats()
 		sol.WarmPivots = st.WarmPivots - before.WarmPivots
 		sol.ColdPivots = st.ColdPivots - before.ColdPivots
 		sol.ColdSolves = st.ColdSolves - before.ColdSolves
@@ -471,20 +441,18 @@ func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 		s.stats.ColdPivots += sol.ColdPivots
 		s.stats.ColdSolves += sol.ColdSolves
 		s.stats.PoolCuts = len(s.pool)
-	}
+	}()
 
 	for round := 1; round <= opts.maxRounds(); round++ {
 		if ctx != nil && ctx.Err() != nil {
 			// A canceled resolve leaves the session cold: the partially
 			// pivoted master must never seed a warm basis.
 			s.dropMaster()
-			finalize()
 			return nil, fmt.Errorf("steady: resolve canceled: %w: %v", lp.ErrCanceled, ctx.Err())
 		}
 		sol.Rounds = round
 		lpSol, err := solveMaster()
 		if err != nil {
-			finalize()
 			if errors.Is(err, lp.ErrCanceled) {
 				// Wrap with %w so callers can still match lp.ErrCanceled;
 				// deliberately NOT ErrLPFailed — nothing failed, the caller's
@@ -510,10 +478,8 @@ func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 			// limit, or an aborted warm re-solve). X is the all-zero vector:
 			// treating it as a solution would make every max-flow zero and
 			// silently report "throughput 0, converged".
-			finalize()
 			return nil, fmt.Errorf("%w: simplex iteration limit in phase %d left no feasible master solution", ErrLPFailed, lpSol.Phase)
 		default:
-			finalize()
 			return nil, fmt.Errorf("%w: status %v", ErrLPFailed, lpSol.Status)
 		}
 		sol.LPIterations += lpSol.Iterations
@@ -527,16 +493,11 @@ func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 		sol.Throughput = tp
 		sol.UpperBound = tp
 
-		// Separate on the current edge rates; dead links carry nothing. Every
-		// violated destination contributes both canonical minimum cuts
-		// (source side and sink side) — they are usually different, and
-		// generating two constraints per violated destination roughly halves
-		// the number of master re-solves on hierarchical platforms. The
-		// smallest destination flow is the throughput the current edge rates
-		// actually support, i.e. a feasible lower bound on the optimum, while
-		// the master value tp is an upper bound; it is read (by the gap exit)
-		// only when some destination is violated, and then it is one of the
-		// exact flows.
+		// Separate on the current edge rates; dead links carry nothing. The
+		// smallest destination flow is the throughput the rates actually
+		// support, a feasible lower bound on the optimum, while the master
+		// value tp is an upper bound; the gap exit reads it only when some
+		// destination is violated, and then it is one of the exact flows.
 		sepStart := time.Now()
 		for id, rate := range sol.EdgeRate {
 			sep.chainNet.SetCapacity(id, rate)
@@ -552,10 +513,9 @@ func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 				// at its iteration limit, so tp is just some feasible value —
 				// possibly far below the optimum (in the degenerate case, 0).
 				// Refuse to report it as the converged throughput.
-				finalize()
 				return nil, fmt.Errorf("%w: master LP hit its iteration limit before optimality; throughput %v cannot be certified", ErrLPFailed, tp)
 			}
-			finalize()
+			sol.PortDual = portDual(p.NumNodes(), rev.Duals(), s.occ)
 			return sol, nil
 		}
 		if lpSol.Status == lp.Optimal && tp-supported <= opts.gapTolerance()*math.Max(1, tp) {
@@ -565,11 +525,10 @@ func (s *Session) runLoop(ctx context.Context, m master) (*Solution, error) {
 			// tp is just some feasible value, so a small (or negative) gap
 			// would certify nothing.
 			sol.Throughput = supported
-			finalize()
+			sol.PortDual = portDual(p.NumNodes(), rev.Duals(), s.occ)
 			return sol, nil
 		}
 	}
-	finalize()
 	return sol, fmt.Errorf("%w after %d rounds", ErrNoConvergence, sol.Rounds)
 }
 
@@ -585,13 +544,15 @@ const chainMargin = 1e-9
 
 // separate runs one separation step at the edge rates loaded into both
 // separation networks and the violation threshold. It appends both
-// canonical minimum cuts of every violated destination to the master,
-// destination by destination in index order, and returns the smallest
-// destination flow — a destination at or above the threshold counting as
-// the threshold itself, the value MaxFlowBounded reports for it — and the
-// number of rows added. It leaves in sep.violated which destinations were
-// violated, and counts in sol the destinations a fresh max-flow decided and
-// those the chained flow certified.
+// canonical minimum cuts of every violated destination to the master (they
+// usually differ, and two rows per violated destination roughly halve the
+// master re-solves on hierarchical platforms), destination by destination in
+// index order, and returns the smallest destination flow — a destination at
+// or above the threshold counting as the threshold itself, the value
+// MaxFlowBounded reports for it — and the number of rows added. It leaves in
+// sep.violated which destinations were violated, and counts in sol the
+// destinations a fresh max-flow decided and those the chained flow
+// certified.
 //
 // One pass over the alive destinations, in index order, over two networks:
 //

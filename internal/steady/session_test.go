@@ -8,23 +8,18 @@ import (
 	"repro/internal/topology"
 )
 
-// sessionOpts forces full separation convergence so the session and the cold
-// oracle agree to tight tolerance (the default gap-based exit may stop at
-// different achievable lower bounds on degenerate platforms).
+// sessionOpts forces full separation convergence, so the certified interval
+// around a session's throughput is tight (the default gap-based exit may
+// stop at an achievable lower bound 1e-5 below the master's value).
 func sessionOpts() *Options { return &Options{GapTolerance: 1e-9} }
 
-// checkAgainstColdOracle solves the platform's current state from scratch on
-// the dense reference (SolveReference) and compares it with the session's
-// solution.
-func checkAgainstColdOracle(t *testing.T, p *platform.Platform, source int, got *Solution, label string) {
+// checkCertified certifies the session's solution against the
+// platform's current state: its throughput must lie in the interval Certify
+// proves from its rates and port prices.
+func checkCertified(t *testing.T, p *platform.Platform, source int, got *Solution, label string) {
 	t.Helper()
-	oracle, err := SolveReference(p.Clone(), source, sessionOpts())
-	if err != nil {
-		t.Fatalf("%s: oracle: %v", label, err)
-	}
-	rel := math.Abs(got.Throughput-oracle.Throughput) / math.Max(oracle.Throughput, 1e-12)
-	if rel > 1e-6 {
-		t.Errorf("%s: session throughput %v vs cold oracle %v (rel %v)", label, got.Throughput, oracle.Throughput, rel)
+	if _, _, err := Certify(p, source, got); err != nil {
+		t.Errorf("%s: %v", label, err)
 	}
 }
 
@@ -38,7 +33,7 @@ func TestSessionAcrossMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "initial")
+	checkCertified(t, p, 0, sol, "initial")
 
 	apply := func(d platform.Delta) {
 		t.Helper()
@@ -55,7 +50,7 @@ func TestSessionAcrossMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "after degrade")
+	checkCertified(t, p, 0, sol, "after degrade")
 	if s.Stats().WarmResolves != 1 {
 		t.Errorf("degrade-only resolve did not take the warm path: %+v", s.Stats())
 	}
@@ -65,7 +60,7 @@ func TestSessionAcrossMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "after link-down")
+	checkCertified(t, p, 0, sol, "after link-down")
 	if sol.EdgeRate[1] != 0 {
 		t.Errorf("dead link 1 has rate %v, want 0", sol.EdgeRate[1])
 	}
@@ -79,13 +74,13 @@ func TestSessionAcrossMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "after speed-up")
+	checkCertified(t, p, 0, sol, "after speed-up")
 	apply(platform.Delta{Kind: platform.DeltaLinkUp, Link: 1})
 	sol, err = s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "after link-up")
+	checkCertified(t, p, 0, sol, "after link-up")
 
 	// Node churn: crash a non-source node (rebuild with destination
 	// filtering), then revive it.
@@ -109,13 +104,13 @@ func TestSessionAcrossMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "after node-down")
+	checkCertified(t, p, 0, sol, "after node-down")
 	apply(platform.Delta{Kind: platform.DeltaNodeUp, Node: victim})
 	sol, err = s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstColdOracle(t, p, 0, sol, "after node-up")
+	checkCertified(t, p, 0, sol, "after node-up")
 
 	st := s.Stats()
 	if st.Resolves != 7 || st.WarmResolves != 2 || st.Rebuilds != 5 {

@@ -1,13 +1,11 @@
 package steady
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/lp"
-	"repro/internal/maxflow"
 	"repro/internal/platform"
 )
 
@@ -37,8 +35,8 @@ type Solution struct {
 	WarmPivots int
 	ColdPivots int
 	// ColdSolves is the number of master solves that ran from the slack
-	// basis: 1 for a fully warm-started run (plus any fallback), one per
-	// round for SolveReference, and 1 for SolveDirect.
+	// basis: 1 for a fully warm-started run (plus any fallback) and for
+	// SolveDirect, 0 for a warm delta whose every round re-solved warm.
 	ColdSolves int
 	// LPWallNanos is the wall-clock time spent inside master LP solves
 	// during this resolve, excluding cut separation (the per-destination
@@ -52,13 +50,17 @@ type Solution struct {
 	// bookkeeping. Every round decides each alive destination exactly once:
 	// Certified counts the destinations the chained flow certified, MaxFlows
 	// those a fresh max-flow decided, so their sum is Rounds times the alive
-	// destinations. LPWallNanos and SepWallNanos
-	// together account for nearly all of a resolve. The counts are
-	// deterministic; the wall, like LPWallNanos, is never marshaled into the
-	// deterministic reports.
+	// destinations. LPWallNanos and SepWallNanos together account for nearly
+	// all of a resolve. The counts are deterministic; the wall, like
+	// LPWallNanos, is never marshaled into the deterministic reports.
 	SepWallNanos int64
 	MaxFlows     int
 	Certified    int
+	// PortDual holds the final master's one-port prices, for Certify's upper
+	// bound: PortDual[u] prices node u's send port, PortDual[n+u] its receive
+	// port (n nodes), each the sum of the master's duals over the port's
+	// occupation rows, clamped at 0; nil when the solve reports no duals.
+	PortDual []float64
 	// Packing, when non-nil, is the weighted spanning-tree decomposition of
 	// EdgeRate: the primal witness that Throughput is achieved by an actual
 	// convex combination of broadcast trees. The solver itself leaves it
@@ -139,69 +141,24 @@ func Solve(p *platform.Platform, source int, opts *Options) (*Solution, error) {
 	return NewSession(p, source, opts).Resolve()
 }
 
-// SolveReference is the differential oracle of the cutting-plane solver: the
-// same decomposition over the platform's current live state, with the master
-// LP re-solved from the slack basis on the dense simplex (lp.Solve) every
-// round — no warm start, no basis factorization, no cut pool, nothing carried
-// from an earlier call. It shares the separation with Session but none of the
-// LP code lp.Revised runs, so the two agreeing within 1e-6 is evidence for
-// both. Every pivot rewrites the whole tableau and every round starts over:
-// it is for tests and one-off cross-checks, not for serving.
-func SolveReference(p *platform.Platform, source int, opts *Options) (*Solution, error) {
+// SolveDirect encodes LP (2) of the paper directly over the platform's
+// current live state: per-destination flow variables x^w_e, edge rates n_e
+// and the throughput TP. It has |V|·|E| variables and as many rows, so it is
+// intended for small platforms (tests and examples). It is solved cold on
+// lp.Revised: the dense tableau pivots on round-off on its all-zero
+// right-hand sides and ends "optimal" on infeasible points (six of six
+// grid:16 instances). The point, with the occupation rows' duals as its port
+// prices, must pass Certify; one that fails is ErrLPFailed, never a
+// throughput.
+func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, error) {
 	if err := p.ValidateLive(source); err != nil {
 		return nil, err
 	}
 	if p.NumAliveNodes() == 1 {
-		return &Solution{Throughput: math.Inf(1), UpperBound: math.Inf(1), EdgeRate: make([]float64, p.NumLinks())}, nil
-	}
-	s := NewSession(p, source, opts)
-	s.refreshSeparator()
-	s.buildProblem()
-	return s.runLoop(context.Background(), &denseCold{problem: s.problem, opts: opts.lpOptions()})
-}
-
-// denseCold is the master of SolveReference: every solve is a cold dense one.
-type denseCold struct {
-	problem *lp.Problem
-	opts    *lp.Options
-	stats   lp.SolveStats
-}
-
-func (m *denseCold) SolveContext(ctx context.Context) (*lp.Solution, error) {
-	sol, err := lp.SolveContext(ctx, m.problem, m.opts)
-	if err == nil {
-		m.stats.ColdSolves++
-		m.stats.ColdPivots += sol.Iterations
-	}
-	return sol, err
-}
-
-func (m *denseCold) Stats() lp.SolveStats { return m.stats }
-
-// SolveDirect encodes LP (2) of the paper directly: per-destination flow
-// variables x^w_e, edge rates n_e and the throughput TP. It is exponential
-// in neither |V| nor |E| but has |V|·|E| variables and as many rows, so it
-// is intended for small platforms (tests and examples).
-//
-// It is solved cold on lp.Revised, which recomputes the basic values from
-// the problem data at every refactorization and certifies its optimum
-// against the original columns. The dense tableau does neither: the
-// flow-conservation rows all share a zero right-hand side, and on such
-// massively degenerate tableaux its ratio test pivots on round-off and ends
-// "optimal" on points that violate their own constraints (six of six
-// grid:16 instances). The returned point is still certified against the
-// model before it is reported (see certifyDirect); a point that fails is
-// ErrLPFailed, never a throughput.
-func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, error) {
-	if err := p.Validate(source); err != nil {
-		return nil, err
-	}
-	e := p.NumLinks()
-	if p.NumNodes() == 1 {
-		return &Solution{Throughput: math.Inf(1), UpperBound: math.Inf(1), EdgeRate: make([]float64, e), Rounds: 1}, nil
+		return &Solution{Throughput: math.Inf(1), UpperBound: math.Inf(1), EdgeRate: make([]float64, p.NumLinks()), Rounds: 1}, nil
 	}
 
-	problem, nVar0, tpVar := directProblem(p, source)
+	problem, read := directProblem(p, source)
 	lpSol, err := lp.NewRevised(problem, opts.lpOptions()).Solve()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrLPFailed, err)
@@ -209,31 +166,26 @@ func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, er
 	if lpSol.Status != lp.Optimal {
 		return nil, fmt.Errorf("%w: status %v", ErrLPFailed, lpSol.Status)
 	}
-	sol := &Solution{
-		Throughput:   lpSol.X[tpVar],
-		UpperBound:   lpSol.X[tpVar],
-		EdgeRate:     append([]float64(nil), lpSol.X[nVar0:nVar0+e]...),
-		Rounds:       1,
-		LPIterations: lpSol.Iterations,
-		ColdPivots:   lpSol.Iterations,
-		ColdSolves:   1,
-	}
-	if err := certifyDirect(p, source, sol); err != nil {
-		return nil, fmt.Errorf("%w: simplex returned an infeasible point as optimal: %v", ErrLPFailed, err)
+	sol := read(lpSol)
+	if _, _, err := Certify(p, source, sol); err != nil {
+		return nil, fmt.Errorf("%w: simplex returned an uncertified point as optimal: %v", ErrLPFailed, err)
 	}
 	return sol, nil
 }
 
-// directProblem writes LP (2) for a platform of at least two nodes. The edge
-// rate n_e of link e is variable nVar0+e, the throughput TP variable tpVar.
-func directProblem(p *platform.Platform, source int) (problem *lp.Problem, nVar0, tpVar int) {
+// directProblem writes LP (2) over the live state of a platform with at
+// least two alive nodes: destinations and relays are the alive nodes, and
+// only live links carry flow. The variables of dead links appear in no row.
+// On a never-mutated platform every node and link is live. read turns an
+// optimal solve of the problem into a Solution.
+func directProblem(p *platform.Platform, source int) (problem *lp.Problem, read func(*lp.Solution) *Solution) {
 	n := p.NumNodes()
 	e := p.NumLinks()
 
 	// Destinations in increasing node order.
 	dests := make([]int, 0, n-1)
 	for w := 0; w < n; w++ {
-		if w != source {
+		if w != source && p.NodeAlive(w) {
 			dests = append(dests, w)
 		}
 	}
@@ -241,34 +193,36 @@ func directProblem(p *platform.Platform, source int) (problem *lp.Problem, nVar0
 
 	// Variable layout: x[wIdx][e] at wIdx*e + e, then n_e, then TP.
 	xVar := func(wIdx, linkID int) int { return wIdx*e + linkID }
-	nVar0 = numDest * e
-	nVar := func(linkID int) int { return nVar0 + linkID }
-	tpVar = nVar0 + e
+	nVar0, tpVar := numDest*e, numDest*e+e
 	problem = lp.NewProblem(tpVar + 1)
 	problem.SetObjectiveCoeff(tpVar, 1)
 
-	// Flow conservation per destination and node.
+	// Flow conservation per destination and alive node.
 	for wIdx, w := range dests {
 		for v := 0; v < n; v++ {
+			if !p.NodeAlive(v) {
+				continue
+			}
 			terms := make([]lp.Term, 0, 8)
 			for _, id := range p.OutLinkIDs(v) {
-				terms = append(terms, lp.Term{Var: xVar(wIdx, id), Coeff: 1})
+				if p.LinkLive(id) {
+					terms = append(terms, lp.Term{Var: xVar(wIdx, id), Coeff: 1})
+				}
 			}
 			for _, id := range p.InLinkIDs(v) {
-				terms = append(terms, lp.Term{Var: xVar(wIdx, id), Coeff: -1})
+				if p.LinkLive(id) {
+					terms = append(terms, lp.Term{Var: xVar(wIdx, id), Coeff: -1})
+				}
 			}
 			switch v {
 			case source:
 				// Net outflow of slices destined to w equals TP.
 				terms = append(terms, lp.Term{Var: tpVar, Coeff: -1})
-				problem.AddSparseConstraint(terms, lp.EQ, 0)
 			case w:
 				// Net inflow equals TP (outflow minus inflow equals -TP).
 				terms = append(terms, lp.Term{Var: tpVar, Coeff: 1})
-				problem.AddSparseConstraint(terms, lp.EQ, 0)
-			default:
-				problem.AddSparseConstraint(terms, lp.EQ, 0)
 			}
+			problem.AddSparseConstraint(terms, lp.EQ, 0)
 		}
 	}
 
@@ -276,70 +230,32 @@ func directProblem(p *platform.Platform, source int) (problem *lp.Problem, nVar0
 	// change the optimum since n_e only appears in occupation constraints).
 	for wIdx := range dests {
 		for id := 0; id < e; id++ {
-			problem.AddSparseConstraint([]lp.Term{
-				{Var: xVar(wIdx, id), Coeff: 1},
-				{Var: nVar(id), Coeff: -1},
-			}, lp.LE, 0)
+			if p.LinkLive(id) {
+				problem.AddSparseConstraint([]lp.Term{
+					{Var: xVar(wIdx, id), Coeff: 1},
+					{Var: nVar0 + id, Coeff: -1},
+				}, lp.LE, 0)
+			}
 		}
 	}
 
 	// One-port occupation constraints ((f), (g), (i), (j)).
+	var occ []occRow
 	for u := 0; u < n; u++ {
-		if ids := p.InLinkIDs(u); len(ids) > 0 {
-			terms := make([]lp.Term, 0, len(ids))
-			for _, id := range ids {
-				terms = append(terms, lp.Term{Var: nVar(id), Coeff: p.SliceTime(id)})
-			}
-			problem.AddSparseConstraint(terms, lp.LE, 1)
-		}
-		if ids := p.OutLinkIDs(u); len(ids) > 0 {
-			terms := make([]lp.Term, 0, len(ids))
-			for _, id := range ids {
-				terms = append(terms, lp.Term{Var: nVar(id), Coeff: p.SliceTime(id)})
-			}
-			problem.AddSparseConstraint(terms, lp.LE, 1)
+		if p.NodeAlive(u) {
+			occ = addOccupationRows(problem, occ, p, u, nVar0)
 		}
 	}
-
-	return problem, nVar0, tpVar
-}
-
-// certifyDirect checks a SolveDirect point against the model rather than
-// against the tableau that produced it: the edge rates must carry the
-// reported throughput to every destination (a max-flow per destination,
-// bounded by the value it has to reach) and keep every one-port occupation
-// within 1, both to 1e-6 relative.
-func certifyDirect(p *platform.Platform, source int, sol *Solution) error {
-	const tol = 1e-6
-	n := p.NumNodes()
-	nw := maxflow.New(n)
-	for id, rate := range sol.EdgeRate {
-		if rate < -tol {
-			return fmt.Errorf("negative rate %v on link %d", rate, id)
-		}
-		l := p.Link(id)
-		nw.AddEdge(l.From, l.To, rate)
-	}
-	need := sol.Throughput * (1 - tol)
-	for w := 0; w < n; w++ {
-		if w == source {
-			continue
-		}
-		nw.Reset()
-		if flow := nw.MaxFlowBounded(source, w, need); flow < need {
-			return fmt.Errorf("edge rates carry %v to node %d, reported throughput %v", flow, w, sol.Throughput)
+	return problem, func(lpSol *lp.Solution) *Solution {
+		return &Solution{
+			Throughput:   lpSol.X[tpVar],
+			UpperBound:   lpSol.X[tpVar],
+			EdgeRate:     append([]float64(nil), lpSol.X[nVar0:nVar0+e]...),
+			PortDual:     portDual(n, lpSol.Dual, occ),
+			Rounds:       1,
+			LPIterations: lpSol.Iterations,
+			ColdPivots:   lpSol.Iterations,
+			ColdSolves:   1,
 		}
 	}
-	for u := 0; u < n; u++ {
-		for _, ids := range [][]int{p.InLinkIDs(u), p.OutLinkIDs(u)} {
-			var busy float64
-			for _, id := range ids {
-				busy += sol.EdgeRate[id] * p.SliceTime(id)
-			}
-			if busy > 1+tol {
-				return fmt.Errorf("one-port occupation %v at node %d", busy, u)
-			}
-		}
-	}
-	return nil
 }

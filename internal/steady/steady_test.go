@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/lp"
-	"repro/internal/maxflow"
 	"repro/internal/model"
 	"repro/internal/platform"
 	"repro/internal/topology"
@@ -137,41 +136,6 @@ func TestDirectMatchesKnownValues(t *testing.T) {
 	}
 }
 
-// checkSolutionFeasible verifies that the edge rates satisfy the one-port
-// occupation constraints and support a flow of value Throughput towards
-// every destination.
-func checkSolutionFeasible(t *testing.T, p *platform.Platform, source int, sol *Solution) {
-	t.Helper()
-	const tol = 1e-5
-	n := p.NumNodes()
-	for u := 0; u < n; u++ {
-		var in, out float64
-		for _, id := range p.InLinkIDs(u) {
-			in += sol.EdgeRate[id] * p.SliceTime(id)
-		}
-		for _, id := range p.OutLinkIDs(u) {
-			out += sol.EdgeRate[id] * p.SliceTime(id)
-		}
-		if in > 1+tol || out > 1+tol {
-			t.Fatalf("node %d occupation violated: in=%v out=%v", u, in, out)
-		}
-	}
-	nw := maxflow.New(n)
-	for id := 0; id < p.NumLinks(); id++ {
-		l := p.Link(id)
-		nw.AddEdge(l.From, l.To, sol.EdgeRate[id])
-	}
-	for w := 0; w < n; w++ {
-		if w == source {
-			continue
-		}
-		nw.Reset()
-		if flow := nw.MaxFlow(source, w); flow < sol.Throughput-1e-4*math.Max(1, sol.Throughput) {
-			t.Fatalf("destination %d receives only %v < %v", w, flow, sol.Throughput)
-		}
-	}
-}
-
 func TestSolutionFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 5; trial++ {
@@ -186,7 +150,9 @@ func TestSolutionFeasibility(t *testing.T) {
 		if sol.Throughput <= 0 {
 			t.Fatalf("non-positive throughput %v", sol.Throughput)
 		}
-		checkSolutionFeasible(t, p, 0, sol)
+		if _, _, err := Certify(p, 0, sol); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 
@@ -214,10 +180,10 @@ func TestCuttingPlaneMatchesDirectOnRandomPlatforms(t *testing.T) {
 	}
 }
 
-// TestWarmStartMatchesColdStart is the core differential test of the
-// warm-started master: on random and hierarchical platforms, Solve and the
-// cold dense oracle (SolveReference) must agree on the throughput, and both
-// must report consistent pivot accounting.
+// TestWarmStartMatchesColdStart is the core test of the warm-started master:
+// on random and hierarchical platforms, Solve's throughput must lie in the
+// interval Certify proves, and its pivot accounting must add up, as must
+// that of the cold-every-round baseline.
 func TestWarmStartMatchesColdStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	platforms := make([]*platform.Platform, 0, 8)
@@ -239,19 +205,15 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("platform %d: warm: %v", i, err)
 		}
-		cold, err := SolveReference(p, 0, nil)
+		if _, _, err := Certify(p, 0, warm); err != nil {
+			t.Errorf("platform %d: %v", i, err)
+		}
+		cold, err := coldEveryRound(p, 0, nil)
 		if err != nil {
 			t.Fatalf("platform %d: cold: %v", i, err)
 		}
-		rel := math.Abs(warm.Throughput-cold.Throughput) / math.Max(cold.Throughput, 1e-12)
-		if rel > 1e-6 {
-			t.Errorf("platform %d: warm throughput %v vs cold %v (rel %v)", i, warm.Throughput, cold.Throughput, rel)
-		}
-		// Both paths must return achievable (feasible) rate vectors.
-		checkSolutionFeasible(t, p, 0, warm)
-		checkSolutionFeasible(t, p, 0, cold)
-		// Pivot accounting: the split must add up, and the cold oracle must
-		// not report warm pivots.
+		// Pivot accounting: the split must add up, and the cold baseline
+		// must not report warm pivots.
 		if warm.WarmPivots+warm.ColdPivots != warm.LPIterations {
 			t.Errorf("platform %d: warm pivots %d + cold pivots %d != total %d",
 				i, warm.WarmPivots, warm.ColdPivots, warm.LPIterations)
@@ -267,7 +229,8 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 
 // TestWarmStartReducesPivots checks the point of the exercise: on a
 // hierarchical platform accumulating dozens of cuts, the warm-started master
-// needs at most half the simplex pivots of the cold dense reference.
+// needs at most half the simplex pivots of re-solving every round's master
+// cold.
 func TestWarmStartReducesPivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p, err := topology.Tiers(topology.Tiers65(), rng)
@@ -278,7 +241,10 @@ func TestWarmStartReducesPivots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveReference(p, 0, nil)
+	if _, _, err := Certify(p, 0, warm); err != nil {
+		t.Error(err)
+	}
+	cold, err := coldEveryRound(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,16 +264,12 @@ func TestIterationLimitedMasterSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, solve := range map[string]func(*platform.Platform, int, *Options) (*Solution, error){
-		"Solve": Solve, "SolveReference": SolveReference,
-	} {
-		sol, err := solve(p, 0, &Options{LP: &lp.Options{MaxIterations: 1}})
-		if err == nil {
-			t.Fatalf("%s: 1-pivot budget returned nil error (throughput %v)", name, sol.Throughput)
-		}
-		if !errors.Is(err, ErrLPFailed) {
-			t.Fatalf("%s: error %v, want ErrLPFailed", name, err)
-		}
+	sol, err := Solve(p, 0, &Options{LP: &lp.Options{MaxIterations: 1}})
+	if err == nil {
+		t.Fatalf("1-pivot budget returned nil error (throughput %v)", sol.Throughput)
+	}
+	if !errors.Is(err, ErrLPFailed) {
+		t.Fatalf("error %v, want ErrLPFailed", err)
 	}
 	// Budgets large enough for a feasible phase-2 point but too small to
 	// prove optimality must also never terminate silently — neither through
@@ -359,7 +321,9 @@ func TestTiersPlatformSolvable(t *testing.T) {
 	if sol.Throughput <= 0 {
 		t.Fatalf("throughput = %v", sol.Throughput)
 	}
-	checkSolutionFeasible(t, p, 0, sol)
+	if _, _, err := Certify(p, 0, sol); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestThroughputUpperBound(t *testing.T) {
@@ -465,30 +429,54 @@ func TestPackSideRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCertifyDirect feeds the SolveDirect certificate hand-made points on a
-// two-leaf star (slice times 1 and 2, optimum 1/3 with rates 1/3 each): the
-// optimum passes; an overstated throughput, an over-occupied port and a
-// negative rate — the three ways the dense simplex has been seen to go
-// wrong — are each rejected.
-func TestCertifyDirect(t *testing.T) {
-	p := starPlatform([]float64{1, 2})
-	third := 1.0 / 3
-	// Links: 0->1, 1->0, 0->2, 2->0.
+// TestCertify feeds Certify the optimum of a two-leaf star (slice times 1
+// and 2, optimum 1/3 with rates 1/3 each, the source's send port the only
+// priced one) and mutations of it. Each mutation is a way a solver can go
+// wrong by more than the 1e-6 bar, and each must be rejected, not certified.
+func TestCertify(t *testing.T) {
+	p := starPlatform([]float64{1, 2}) // links: 0->1, 1->0, 0->2, 2->0
+	opt, err := Solve(p, 0, &Options{GapTolerance: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower, upper, err := Certify(p, 0, opt)
+	if err != nil {
+		t.Fatalf("optimum: %v", err)
+	}
+	if third := 1.0 / 3; math.Abs(lower-third) > 1e-9 || math.Abs(upper-third) > 1e-9 {
+		t.Fatalf("optimum certified in [%v, %v], want 1/3", lower, upper)
+	}
+	down := p.Clone()
+	if _, err := down.ApplyDelta(platform.Delta{Kind: platform.DeltaLinkDown, Link: 1}); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name       string
-		throughput float64
-		rates      []float64
-		ok         bool
+		name   string
+		p      *platform.Platform
+		mutate func(*Solution)
+		ok     bool
 	}{
-		{"optimum", third, []float64{third, 0, third, 0}, true},
-		{"within tolerance", third * (1 + 5e-7), []float64{third, 0, third, 0}, true},
-		{"throughput the rates do not carry", 0.4, []float64{third, 0, third, 0}, false},
-		{"one-port occupation above 1", 0.4, []float64{0.4, 0, 0.4, 0}, false},
-		{"negative rate", third, []float64{third, -3, third, 0}, false},
+		{"optimum", p, func(*Solution) {}, true},
+		{"throughput within tolerance", p, func(s *Solution) { s.Throughput *= 1 + 5e-7 }, true},
+		{"throughput x(1+2e-6)", p, func(s *Solution) { s.Throughput *= 1 + 2e-6 }, false},
+		{"rate on the tightest min cut x(1-1e-5)", p, func(s *Solution) { s.EdgeRate[2] *= 1 - 1e-5 }, false},
+		{"rate on a dead link", down, func(s *Solution) { s.EdgeRate[1] = 1e-3 }, false},
+		{"port loaded to 1+2e-6", p, func(s *Solution) {
+			for id := range s.EdgeRate {
+				s.EdgeRate[id] *= 1 + 2e-6
+			}
+		}, false},
+		{"negative rate", p, func(s *Solution) { s.EdgeRate[1] = -3 }, false},
+		{"all-zero port prices", p, func(s *Solution) { s.PortDual = make([]float64, len(s.PortDual)) }, false},
+		{"no port prices", p, func(s *Solution) { s.PortDual = nil }, false},
 	} {
-		err := certifyDirect(p, 0, &Solution{Throughput: tc.throughput, EdgeRate: tc.rates})
+		sol := *opt
+		sol.EdgeRate = append([]float64(nil), opt.EdgeRate...)
+		sol.PortDual = append([]float64(nil), opt.PortDual...)
+		tc.mutate(&sol)
+		lower, upper, err := Certify(tc.p, 0, &sol)
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: certifyDirect = %v, want ok=%v", tc.name, err, tc.ok)
+			t.Errorf("%s: Certify = [%v, %v], %v; want ok=%v", tc.name, lower, upper, err, tc.ok)
 		}
 	}
 }
