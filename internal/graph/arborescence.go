@@ -1,9 +1,9 @@
 package graph
 
-// arborescenceCostEps is MinArborescence's tie tolerance: costs within it
+// ArborescenceCostEps is MinArborescence's tie tolerance: costs within it
 // tie, and ties go to the smaller support index, so that ~1e-9 noise in LP
 // duals cannot change the choice from run to run.
-const arborescenceCostEps = 1e-12
+const ArborescenceCostEps = 1e-12
 
 // arc is a working arc on the current level's node labels; idx, its support
 // index, survives every contraction.
@@ -102,9 +102,9 @@ func (ma *MinArborescence) Solve(cost []float64) (ids []int, total float64, ok b
 			switch {
 			case cur < 0:
 				minIn[e.to] = i
-			case e.cost < work[cur].cost-arborescenceCostEps:
+			case e.cost < work[cur].cost-ArborescenceCostEps:
 				minIn[e.to] = i
-			case e.cost <= work[cur].cost+arborescenceCostEps && e.idx < work[cur].idx:
+			case e.cost <= work[cur].cost+ArborescenceCostEps && e.idx < work[cur].idx:
 				minIn[e.to] = i
 			}
 		}

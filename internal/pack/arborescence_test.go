@@ -50,7 +50,7 @@ func randomSupport(rng *rand.Rand, n, chords, dead int) (*platform.Platform, int
 // TestPricerMatchesRecursiveChuLiu the buffer-reusing pricer must choose the
 // arborescences the recursive, allocating Chu-Liu/Edmonds it replaced chose —
 // same edges in the same order, same total — on costs full of exact and
-// near (sub-costEps) ties, round after round on one pricer.
+// near (sub-graph.ArborescenceCostEps) ties, round after round on one pricer.
 func TestPricerMatchesRecursiveChuLiu(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
@@ -107,10 +107,6 @@ func TestPricerUnreachable(t *testing.T) {
 		t.Fatal("arborescence reported over a support that never reaches node 2")
 	}
 }
-
-// costEps is graph.MinArborescence's tie tolerance, which the reference
-// breaks ties with as the pricer does.
-const costEps = 1e-12
 
 // refEdge, refMinCostArborescence and refChuLiu are the pricing this package
 // ran before the pricer kept its buffers — recursive, one contraction per
@@ -184,9 +180,9 @@ func refChuLiu(n, root int, edges []refEdge) (ids []int, ok bool) {
 		switch {
 		case cur < 0:
 			minIn[e.to] = i
-		case e.cost < edges[cur].cost-costEps:
+		case e.cost < edges[cur].cost-graph.ArborescenceCostEps:
 			minIn[e.to] = i
-		case e.cost <= edges[cur].cost+costEps && e.id < edges[cur].id:
+		case e.cost <= edges[cur].cost+graph.ArborescenceCostEps && e.id < edges[cur].id:
 			minIn[e.to] = i
 		}
 	}

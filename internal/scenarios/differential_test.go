@@ -15,7 +15,7 @@ import (
 
 // assertCertified checks a steady solution with steady.Certify, which trusts
 // no LP: the edge rates carry the throughput within the one-port
-// constraints and the port prices bound it from above, both to 1e-6.
+// constraints and the port prices prove it optimal, both to 1e-6.
 func assertCertified(t *testing.T, p *platform.Platform, source int, sol *steady.Solution, label string) {
 	t.Helper()
 	if _, _, err := steady.Certify(p, source, sol); err != nil {

@@ -18,15 +18,15 @@ const certTol = 1e-6
 // proves around the optimal throughput:
 //
 //   - lower: the rates must be 0 on dead links and >= 0 elsewhere (round-off
-//     down to −1e-6·Throughput counts as 0), load every port at most
-//     1+1e-6 and carry Throughput·(1−1e-6) to every alive destination; lower
-//     is the smallest destination flow over the busiest port's load (>= 1).
+//     down to −1e-6·Throughput counts as 0), load every port at most 1+1e-6
+//     and carry Throughput·(1−1e-6) to every alive destination; lower is the
+//     smallest destination flow over the busiest port's load (>= 1).
 //   - upper: rates delivering TP dominate TP times a convex combination of
 //     broadcast trees (the paper's Section 4.1 theorem), so for port prices
 //     a, b >= 0 (PortDual) and c_e = t_e·(a_u + b_v), TP·min_T c(T) <=
-//     Σ_e n_e·c_e <= Σ(a+b) by the one-port constraints. One Chu-Liu/Edmonds
-//     run gives upper = Σ(a+b)/min_T c(T); Throughput must not exceed
-//     upper·(1+1e-6). Prices that bound nothing are an error, never a bound.
+//     Σ_e n_e·c_e <= Σ(a+b); one Chu-Liu/Edmonds run gives upper = Σ(a+b)/
+//     min_T c(T). Throughput must match upper within 1e-6 both ways (a
+//     GapTolerance above 1e-6 can fail that); prices bounding nothing fail.
 func Certify(p *platform.Platform, source int, sol *Solution) (lower, upper float64, err error) {
 	if err := p.ValidateLive(source); err != nil {
 		return 0, 0, err
@@ -88,8 +88,8 @@ func Certify(p *platform.Platform, source int, sol *Solution) (lower, upper floa
 		return 0, 0, fmt.Errorf("steady: certify: port prices bound nothing (cheapest arborescence costs %v)", cheapest)
 	}
 	lower, upper = supported/busiest, prices/cheapest
-	if tp > upper*(1+certTol) {
-		err = fmt.Errorf("steady: certify: throughput %v above the certified bound %v", tp, upper)
+	if tp > upper*(1+certTol) || upper > tp*(1+certTol) {
+		err = fmt.Errorf("steady: certify: throughput %v not within 1e-6 of the certified bound %v", tp, upper)
 	}
 	return lower, upper, err
 }

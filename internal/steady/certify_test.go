@@ -19,6 +19,7 @@ const (
 	mutDeadLink          // the link with the largest rate taken down under it
 	mutPort              // rates scaled until the busiest port is loaded 1+2e-6
 	mutZeroPrices        // all-zero port prices
+	mutScaled            // rates and throughput x(1-2e-6): feasible, not optimal
 	numMutations
 )
 
@@ -74,6 +75,11 @@ func FuzzCertify(f *testing.F) {
 			}
 		case mutZeroPrices:
 			mut.PortDual = make([]float64, len(sol.PortDual))
+		case mutScaled:
+			for id := range mut.EdgeRate {
+				mut.EdgeRate[id] *= 1 - 2e-6
+			}
+			mut.Throughput *= 1 - 2e-6
 		}
 		if lower, upper, err := steady.Certify(q, 0, &mut); err == nil {
 			t.Fatalf("%s:%d seed %d: mutation %d certified in [%v, %v]", s.Name, n, seed, kind%numMutations, lower, upper)

@@ -60,8 +60,8 @@ var lpBoundCells = []poolCell{
 
 // assertCertified checks a solution the way the benchmark verifies a plan,
 // independently of any LP solver: Certify must accept it (its rates carry the
-// throughput within the one-port constraints, to 1e-6, and its port prices
-// bound the throughput from above), and the throughput must be positive and
+// throughput within the one-port constraints and its port prices prove it
+// optimal, both to 1e-6), and the throughput must be positive and
 // not exceed the master's upper bound.
 func assertCertified(t *testing.T, p *platform.Platform, source int, sol *steady.Solution, label string) {
 	t.Helper()

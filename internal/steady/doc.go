@@ -29,7 +29,7 @@
 //     where it cross-checks the cutting-plane solver in tests.
 //
 //   - Certify trusts no LP: the edge rates must carry the throughput within
-//     the one-port constraints (a lower bound), and the final master's port
-//     prices (PortDual), through one minimum-cost arborescence, bound it from
-//     above. Tests hold every solver and the planning service to it.
+//     the one-port constraints, and the final master's port prices
+//     (PortDual), through one minimum-cost arborescence, must bound it from
+//     above within 1e-6. Tests hold every solver and the service to it.
 package steady

@@ -429,6 +429,15 @@ func TestPackSideRoundTrip(t *testing.T) {
 	}
 }
 
+// scaleSolution scales a solution's rates and throughput alike: still
+// feasible, but no longer optimal.
+func scaleSolution(s *Solution, f float64) {
+	for id := range s.EdgeRate {
+		s.EdgeRate[id] *= f
+	}
+	s.Throughput *= f
+}
+
 // TestCertify feeds Certify the optimum of a two-leaf star (slice times 1
 // and 2, optimum 1/3 with rates 1/3 each, the source's send port the only
 // priced one) and mutations of it. Each mutation is a way a solver can go
@@ -467,6 +476,8 @@ func TestCertify(t *testing.T) {
 			}
 		}, false},
 		{"negative rate", p, func(s *Solution) { s.EdgeRate[1] = -3 }, false},
+		{"rates and throughput x0.5", p, func(s *Solution) { scaleSolution(s, 0.5) }, false},
+		{"rates and throughput x(1-2e-6)", p, func(s *Solution) { scaleSolution(s, 1-2e-6) }, false},
 		{"all-zero port prices", p, func(s *Solution) { s.PortDual = make([]float64, len(s.PortDual)) }, false},
 		{"no port prices", p, func(s *Solution) { s.PortDual = nil }, false},
 	} {
