@@ -12,16 +12,16 @@ import (
 func cancelProblem() *Problem {
 	p := NewProblem(3)
 	p.SetObjective([]float64{1, 1, 0.5})
-	p.AddConstraint([]float64{1, 2, 1}, LE, 4)
-	p.AddConstraint([]float64{2, 1, 0}, LE, 3)
-	p.AddConstraint([]float64{0, 1, 2}, LE, 5)
+	p.addDense([]float64{1, 2, 1}, LE, 4)
+	p.addDense([]float64{2, 1, 0}, LE, 3)
+	p.addDense([]float64{0, 1, 2}, LE, 5)
 	return p
 }
 
 func TestSolveContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SolveContext(ctx, cancelProblem(), nil)
+	_, err := denseSolveContext(ctx, cancelProblem(), nil)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("SolveContext on canceled ctx = %v, want ErrCanceled", err)
 	}
@@ -29,14 +29,14 @@ func TestSolveContextPreCanceled(t *testing.T) {
 
 func TestSolveContextNilAndBackground(t *testing.T) {
 	// nil ctx must behave like context.Background(): solve normally.
-	sol, err := SolveContext(nil, cancelProblem(), nil)
+	sol, err := denseSolveContext(nil, cancelProblem(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
-	ref, err := Solve(cancelProblem(), nil)
+	ref, err := denseSolve(cancelProblem(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRevisedCanceledThenResolves(t *testing.T) {
 	}
 
 	// A cutting row that shaves the optimum, solved under a dead context.
-	rv.AddConstraint([]float64{1, 1, 1}, LE, first.Objective*0.9)
+	rv.p.addDense([]float64{1, 1, 1}, LE, first.Objective*0.9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := rv.SolveContext(ctx); !errors.Is(err, ErrCanceled) {
@@ -71,7 +71,8 @@ func TestRevisedCanceledThenResolves(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-solve after cancellation: %v", err)
 	}
-	oracle, err := Solve(p, nil)
+	assertRevisedOptimal(t, rv, sol)
+	oracle, err := denseSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,9 +88,10 @@ func newCutMaster(rng *rand.Rand, nPairs, nBatches int) *cutMaster {
 // pivot. After every warm append batch: the objective is the one a cold dense
 // solve of the same problem finds, within 1e-9·max(1,|obj|) — an optimum, not
 // an approximation of one; the duals are dual feasible and satisfy strong
-// duality and complementary slackness against the unperturbed costs; no
-// perturbation survives the solve; and a second handle fed the same sequence
-// takes the same number of pivots to a bit-identical point. Over a whole
+// duality and complementary slackness against the unperturbed costs
+// (checkDuals, assertOptimal); no perturbation survives the solve; and a
+// second handle fed the same sequence takes the same number of pivots to a
+// bit-identical point. Over a whole
 // sequence the handle solves cold exactly once: no warm attempt falls back.
 func TestRevisedDegenerateWarmIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -111,13 +112,14 @@ func TestRevisedDegenerateWarmIsExact(t *testing.T) {
 			var sols [2]*Solution
 			for h, rv := range handles {
 				for i := batch[0]; i < batch[1]; i++ {
-					rv.AddConstraint(c.rows[i], LE, c.rhs[i])
+					rv.p.addDense(c.rows[i], LE, c.rhs[i])
 				}
 				sol, err := rv.Solve()
 				if err != nil || sol.Status != Optimal {
 					t.Fatalf("trial %d batch %d handle %d: %+v, %v", trial, bi, h, sol, err)
 				}
 				assertUnperturbed(t, rv)
+				assertRevisedOptimal(t, rv, sol)
 				sols[h] = sol
 			}
 			if sols[0].Iterations != sols[1].Iterations {
@@ -133,9 +135,9 @@ func TestRevisedDegenerateWarmIsExact(t *testing.T) {
 			cold := NewProblem(n)
 			cold.SetObjective(obj)
 			for i := 0; i < rows; i++ {
-				cold.AddConstraint(c.rows[i], LE, c.rhs[i])
+				cold.addDense(c.rows[i], LE, c.rhs[i])
 			}
-			ref := solveOK(t, cold)
+			ref := denseOK(t, cold)
 			if ref.Status != Optimal || math.Abs(ref.Objective-sol.Objective) > 1e-9*math.Max(1, math.Abs(ref.Objective)) {
 				t.Fatalf("trial %d batch %d: warm objective %v, cold dense %v (%v)", trial, bi, sol.Objective, ref.Objective, ref.Status)
 			}
@@ -183,7 +185,7 @@ func TestRevisedWarmFailureCostsOneColdSolve(t *testing.T) {
 		for j := range coeffs {
 			coeffs[j] = rng.Float64()
 		}
-		rv.AddConstraint(coeffs, LE, rng.Float64()+0.2)
+		rv.p.addDense(coeffs, LE, rng.Float64()+0.2)
 	}
 	for round := 0; round < 4; round++ {
 		// The same logical column basic in two positions: the warm attempt's
@@ -195,15 +197,12 @@ func TestRevisedWarmFailureCostsOneColdSolve(t *testing.T) {
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("round %d: solve over a corrupted warm basis: %+v, %v", round, sol, err)
 		}
+		assertRevisedOptimal(t, rv, sol)
 		after := rv.Stats()
 		if rv.LastWarm() || after.WarmSolves != before.WarmSolves+1 || after.ColdSolves != before.ColdSolves+1 {
 			t.Fatalf("round %d: a failed warm attempt must cost one cold solve: before %+v, after %+v", round, before, after)
 		}
-		dense, err := Solve(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertAgree(t, "cold fallback", sol, dense)
+		assertAgree(t, "cold fallback", sol, denseOK(t, p))
 
 		addRow()
 		sol, err = rv.Solve()
@@ -213,6 +212,7 @@ func TestRevisedWarmFailureCostsOneColdSolve(t *testing.T) {
 		if !rv.LastWarm() {
 			t.Fatalf("round %d: after %d failed warm attempts the handle stopped warm-starting", round, round+1)
 		}
+		assertRevisedOptimal(t, rv, sol)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestRevisedNeverOptimalUnderATwoPivotBudget(t *testing.T) {
 	for stage := 0; stage < 4; stage++ {
 		coeffs := make([]float64, 10)
 		coeffs[stage] = 1
-		rv.AddConstraint(coeffs, LE, 0.1)
+		rv.p.addDense(coeffs, LE, 0.1)
 		sol, err := rv.Solve()
 		if err != nil {
 			t.Fatalf("stage %d: %v", stage, err)

@@ -1,4 +1,4 @@
-// Package lp implements simplex solvers for linear programs in the form
+// Package lp implements a simplex solver for linear programs in the form
 //
 //	maximize    c·x
 //	subject to  a_i·x {<=, =, >=} b_i   for every constraint i
@@ -9,33 +9,28 @@
 // master problems produced by the cutting-plane decomposition in package
 // steady (a few hundred variables, up to thousands of cut rows).
 //
-// Two solvers are provided, held to one differential contract (agreement
-// within 1e-6 relative, pinned by the FuzzRevisedVsDense fuzz target and the
-// registry-wide steady tiers):
+// Revised is the solver, and the only LP code path: the revised simplex
+// with a maintained basis factorization, a resolvable handle for the
+// cutting-plane pattern. After an Optimal solve, newly appended constraint
+// rows are priced into the previous optimal basis and re-optimized with dual
+// simplex pivots, skipping phase 1 entirely. The basis is split into logical
+// singleton columns and a structural core factored by a sparse left-looking
+// LU (Gilbert-Peierls) with partial pivoting; pivots run FTRAN/BTRAN through
+// the factorization plus an eta file and refactorize on update-count, growth
+// and staleness triggers. Warm re-solves after appends and objective changes
+// are allocation-free in steady state (see NewRevised, SolveStats and
+// FactorStats). There is no fallback solver: a cold solve that fails
+// numerically returns an error wrapping ErrNumerical.
 //
-//   - Revised is the solver: the revised simplex with a maintained basis
-//     factorization, a resolvable handle for the cutting-plane pattern. After
-//     an Optimal solve, newly appended constraint rows are priced into the
-//     previous optimal basis and re-optimized with dual simplex pivots,
-//     skipping phase 1 entirely. The basis is split into logical singleton
-//     columns and a structural core factored by a sparse left-looking LU
-//     (Gilbert-Peierls) with partial pivoting; pivots run FTRAN/BTRAN through
-//     the factorization plus an eta file and refactorize on update-count,
-//     growth and staleness triggers (Options.RefactorInterval tunes the
-//     update-count trigger). Warm re-solves after appends and objective
-//     changes are allocation-free in steady state (see NewRevised, SolveStats
-//     and FactorStats).
+// Rows are sparse: Problem.AddSparseConstraint is the one way to add a
+// constraint, and it stores the row's nonzero terms only (a repeated
+// variable's coefficients summed, exact zeros dropped), so a row costs
+// memory in proportion to its terms, not to NumVars.
 //
-//   - Solve performs a one-shot cold solve from the slack basis with the
-//     dense two-phase primal simplex (Dantzig pricing, Bland anti-cycling
-//     fallback). Every pivot touches the whole tableau, which caps it at
-//     moderate sizes; it is the oracle Revised is measured against and the
-//     fallback of last resort when a cold revised solve fails numerically.
-//     The point it ends on is checked against the problem's own constraints
-//     (1e-6 relative) before it is reported: on massively degenerate problems
-//     the dense ratio test can pivot on round-off and end "optimal" outside
-//     the feasible region, which surfaces as ErrNotCertified, never as a
-//     Solution.
+// The package's tests hold Revised to a dense two-phase tableau simplex kept
+// in the test files as the in-package reference (agreement within 1e-6
+// relative, pinned by the FuzzRevisedVsDense fuzz target) and check the
+// Karush–Kuhn–Tucker conditions of every optimal solve.
 //
 // Degeneracy: a cutting-plane master is massively dual degenerate (every
 // unused link prices to a reduced cost of exactly zero), and an unperturbed
@@ -59,7 +54,7 @@
 // package pack hold its column-generation master as the dual LP on one
 // handle, a new column being one appended row.
 //
-// Both solvers support cooperative cancellation through SolveContext; a
+// Revised supports cooperative cancellation through SolveContext; a
 // canceled solve reports ErrCanceled and never leaves a reusable warm
 // basis behind.
 package lp

@@ -65,7 +65,7 @@ func TestDualsSimpleLE(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(obj)
 	for i, r := range rows {
-		p.AddConstraint(r, rels[i], rhs[i])
+		p.addDense(r, rels[i], rhs[i])
 	}
 	sol := solveOK(t, p)
 	checkDuals(t, sol, obj, rows, rels, rhs)
@@ -84,14 +84,14 @@ func TestDualsMixedRelations(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(obj)
 	for i, r := range rows {
-		p.AddConstraint(r, rels[i], rhs[i])
+		p.addDense(r, rels[i], rhs[i])
 	}
 	sol := solveOK(t, p)
 	checkDuals(t, sol, obj, rows, rels, rhs)
 }
 
 func TestDualsFlippedRow(t *testing.T) {
-	// A negative right-hand side forces newTableau to negate the row;
+	// A negative right-hand side forces the solver to negate the row;
 	// -x - y <= -3 is x + y >= 3. maximize -x - 2y s.t. -x - y <= -3.
 	// Optimum x=3, y=0, objective -3; dObj/drhs for the row as given is +1
 	// (relaxing -3 toward -2 raises the objective by 1).
@@ -101,7 +101,7 @@ func TestDualsFlippedRow(t *testing.T) {
 	rhs := []float64{-3}
 	p := NewProblem(2)
 	p.SetObjective(obj)
-	p.AddConstraint(rows[0], rels[0], rhs[0])
+	p.addDense(rows[0], rels[0], rhs[0])
 	sol := solveOK(t, p)
 	checkDuals(t, sol, obj, rows, rels, rhs)
 	if math.Abs(sol.Dual[0]-1) > 1e-7 {
@@ -113,7 +113,7 @@ func TestDualsAbsentOffOptimal(t *testing.T) {
 	// An unbounded problem must not report duals.
 	p := NewProblem(1)
 	p.SetObjective([]float64{1})
-	p.AddConstraint([]float64{-1}, LE, 1)
+	p.addDense([]float64{-1}, LE, 1)
 	sol := solveOK(t, p)
 	if sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
@@ -245,8 +245,8 @@ func TestRevisedWarmDuals(t *testing.T) {
 		rvAsked, rvSilent := NewRevised(asked, nil), NewRevised(silent, nil)
 		for bi, batch := range c.batches {
 			for i := batch[0]; i < batch[1]; i++ {
-				rvAsked.AddConstraint(c.rows[i], c.rels[i], c.rhs[i])
-				rvSilent.AddConstraint(c.rows[i], c.rels[i], c.rhs[i])
+				rvAsked.p.addDense(c.rows[i], c.rels[i], c.rhs[i])
+				rvSilent.p.addDense(c.rows[i], c.rels[i], c.rhs[i])
 			}
 			sol, err := rvAsked.Solve()
 			if err != nil {
@@ -275,6 +275,7 @@ func TestRevisedWarmDuals(t *testing.T) {
 			withDuals := *sol
 			withDuals.Dual = duals
 			checkDuals(t, &withDuals, c.obj, c.rows[:n], c.rels[:n], c.rhs[:n])
+			assertOptimal(t, asked, &withDuals)
 			for i, y := range duals {
 				if c.rels[i] == LE && y < -1e-7 || c.rels[i] == GE && y > 1e-7 {
 					t.Errorf("trial %d batch %d: row %d (%v) has dual %v of the wrong sign", trial, bi, i, c.rels[i], y)
@@ -283,9 +284,9 @@ func TestRevisedWarmDuals(t *testing.T) {
 			cold := NewProblem(len(c.obj))
 			cold.SetObjective(c.obj)
 			for i := 0; i < n; i++ {
-				cold.AddConstraint(c.rows[i], c.rels[i], c.rhs[i])
+				cold.addDense(c.rows[i], c.rels[i], c.rhs[i])
 			}
-			ref := solveOK(t, cold)
+			ref := denseOK(t, cold)
 			if ref.Status != Optimal || math.Abs(ref.Objective-sol.Objective) > 1e-7*(1+math.Abs(ref.Objective)) {
 				t.Fatalf("trial %d batch %d: warm objective %v, cold dense %v (%v)", trial, bi, sol.Objective, ref.Objective, ref.Status)
 			}
@@ -322,11 +323,13 @@ func TestRevisedDualsAbsentOffOptimal(t *testing.T) {
 	if rv.Duals() != nil {
 		t.Fatal("unsolved handle reported duals")
 	}
-	rv.AddConstraint([]float64{1}, LE, 2)
+	rv.p.addDense([]float64{1}, LE, 2)
 	if sol, err := rv.Solve(); err != nil || sol.Status != Optimal || len(rv.Duals()) != 1 {
 		t.Fatalf("bounded solve: %+v, %v, duals %v", sol, err, rv.Duals())
+	} else {
+		assertRevisedOptimal(t, rv, sol)
 	}
-	rv.AddConstraint([]float64{1}, GE, 3)
+	rv.p.addDense([]float64{1}, GE, 3)
 	sol, err := rv.Solve()
 	if err != nil || sol.Status != Infeasible {
 		t.Fatalf("x <= 2 with x >= 3: %+v, %v, want infeasible", sol, err)

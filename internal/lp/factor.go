@@ -33,7 +33,8 @@ const (
 	// etaLimit is the default update-count refactorization trigger: after
 	// this many eta updates the factorization is rebuilt from the current
 	// basis, both to bound the FTRAN/BTRAN cost of the eta chain and to
-	// reset accumulated roundoff. Options.RefactorInterval overrides it.
+	// reset accumulated roundoff. It is the production value; the package's
+	// tests override it per handle (Revised.refactorInterval).
 	etaLimit = 64
 	// pivotGrowthTol is the relative-instability refactorization trigger: a
 	// transformed pivot element smaller than this fraction of the largest

@@ -68,8 +68,8 @@ func fuzzRow(p *Problem, data []byte) ([]Term, float64, []byte) {
 // FuzzRevisedVsDense drives the warm-started revised simplex against the cold
 // dense simplex on random feasible masters: after every batch of appended
 // rows, the warm re-solve and a cold dense solve of the same problem must both
-// be Optimal and agree on the objective within 1e-6 — the differential
-// contract the cutting-plane solver relies on.
+// be Optimal, pass assertOptimal and agree on the objective within 1e-6 — the
+// differential contract the cutting-plane solver relies on.
 //
 // The leading control byte steers the revised solver's corners: its low bits
 // pin the refactorization trigger (exercising eta chains that end exactly on
@@ -113,11 +113,8 @@ func FuzzRevisedVsDense(f *testing.F) {
 			data = data[1:]
 		}
 		p, rest := fuzzMaster(data)
-		var revOpts *Options
-		if iv := int(ctrl & 0x07); iv > 0 {
-			revOpts = &Options{RefactorInterval: iv}
-		}
-		rev := NewRevised(p, revOpts)
+		rev := NewRevised(p, nil)
+		rev.refactorInterval = int(ctrl & 0x07)
 		if ctrl&0x80 != 0 {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -132,7 +129,7 @@ func FuzzRevisedVsDense(f *testing.F) {
 				t.Fatalf("stage %d: revised solve: %v", stage, err)
 			}
 			assertUnperturbed(t, rev)
-			cold, err := Solve(p, nil)
+			cold, err := denseSolve(p, nil)
 			if err != nil {
 				t.Fatalf("stage %d: cold solve: %v", stage, err)
 			}
@@ -140,6 +137,8 @@ func FuzzRevisedVsDense(f *testing.F) {
 				t.Fatalf("stage %d: status revised=%v cold=%v, want Optimal (problem is feasible and bounded)",
 					stage, rsol.Status, cold.Status)
 			}
+			assertRevisedOptimal(t, rev, rsol)
+			assertOptimal(t, p, cold)
 			tol := 1e-6 * math.Max(1, math.Abs(cold.Objective))
 			if diff := math.Abs(rsol.Objective - cold.Objective); diff > tol {
 				t.Fatalf("stage %d: revised objective %v != cold %v (diff %g)",

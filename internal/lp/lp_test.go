@@ -2,17 +2,127 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
+// addDense adds a constraint given as a full coefficient row, one entry per
+// variable: the tests' shorthand for a sparse row of its nonzero entries.
+func (p *Problem) addDense(coeffs []float64, rel Relation, rhs float64) {
+	if len(coeffs) != p.numVars {
+		panic(fmt.Sprintf("lp: constraint has %d coefficients, want %d", len(coeffs), p.numVars))
+	}
+	terms := make([]Term, 0, len(coeffs))
+	for j, a := range coeffs {
+		if a != 0 {
+			terms = append(terms, Term{Var: j, Coeff: a})
+		}
+	}
+	p.AddSparseConstraint(terms, rel, rhs)
+}
+
+// kktTol is the relative tolerance of assertOptimal.
+const kktTol = 1e-9
+
+// assertOptimal checks the Karush–Kuhn–Tucker optimality conditions of an
+// Optimal solution against the problem as given, with the duals in sol.Dual:
+//   - primal feasibility: x >= 0 and every row within kktTol of the
+//     magnitude of its terms and right-hand side;
+//   - dual signs: LE duals >= 0, GE duals <= 0, EQ duals free;
+//   - dual feasibility: every column's reduced cost c_j − Σ_i a_ij·y_i <= 0,
+//     within kktTol of the magnitude of its terms;
+//   - strong duality: |c·x − b·y| <= kktTol·max(1, |c·x|), and the reported
+//     objective is c·x.
+func assertOptimal(t testing.TB, p *Problem, sol *Solution) {
+	t.Helper()
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v, want optimal", sol.Status)
+	}
+	if len(sol.Dual) != len(p.constraints) {
+		t.Fatalf("%d duals for %d constraints", len(sol.Dual), len(p.constraints))
+	}
+	for j, x := range sol.X {
+		if x < -kktTol {
+			t.Fatalf("primal infeasible: x[%d] = %g", j, x)
+		}
+	}
+	aty := make([]float64, p.numVars)    // Σ_i a_ij·y_i
+	atyAbs := make([]float64, p.numVars) // Σ_i |a_ij·y_i|
+	var by float64
+	for i, c := range p.constraints {
+		y := sol.Dual[i]
+		var lhs, scale float64
+		for _, term := range c.terms {
+			v := term.Coeff * sol.X[term.Var]
+			lhs += v
+			scale += math.Abs(v)
+			aty[term.Var] += term.Coeff * y
+			atyAbs[term.Var] += math.Abs(term.Coeff * y)
+		}
+		slack := c.rhs - lhs // >= 0 satisfies LE, <= 0 satisfies GE
+		tol := kktTol * math.Max(1, math.Max(math.Abs(c.rhs), scale))
+		if (c.rel != GE && slack < -tol) || (c.rel != LE && slack > tol) {
+			t.Fatalf("primal infeasible: row %d: %v %v %v", i, lhs, c.rel, c.rhs)
+		}
+		if (c.rel == LE && y < -kktTol) || (c.rel == GE && y > kktTol) {
+			t.Fatalf("dual sign: row %d (%v) has dual %g", i, c.rel, y)
+		}
+		by += c.rhs * y
+	}
+	for j, c := range p.objective {
+		tol := kktTol * math.Max(1, math.Max(math.Abs(c), atyAbs[j]))
+		if d := c - aty[j]; d > tol {
+			t.Fatalf("dual infeasible: column %d has reduced cost c − Aᵀy = %g", j, d)
+		}
+	}
+	cx := dot(p.objective, sol.X)
+	tol := kktTol * math.Max(1, math.Abs(cx))
+	if math.Abs(cx-by) > tol {
+		t.Fatalf("strong duality: c·x = %v, b·y = %v (diff %g)", cx, by, cx-by)
+	}
+	if math.Abs(sol.Objective-cx) > tol {
+		t.Fatalf("objective %v is not c·x = %v", sol.Objective, cx)
+	}
+}
+
+// assertRevisedOptimal is assertOptimal for the last solve of a Revised
+// handle, cold or warm: the duals are the handle's Duals().
+func assertRevisedOptimal(t testing.TB, rv *Revised, sol *Solution) {
+	t.Helper()
+	withDuals := *sol
+	withDuals.Dual = rv.Duals()
+	assertOptimal(t, rv.p, &withDuals)
+}
+
+// solveOK solves p cold on a Revised handle; an Optimal verdict must pass
+// assertOptimal.
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := Solve(p, nil)
+	sol, err := NewRevised(p, nil).Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
+	}
+	if sol.Status == Optimal {
+		assertOptimal(t, p, sol)
+	}
+	return sol
+}
+
+// denseOK solves p on the dense reference; an Optimal verdict must pass
+// assertOptimal.
+func denseOK(t *testing.T, p *Problem) *Solution {
+	t.Helper()
+	sol, err := denseSolve(p, nil)
+	if err != nil {
+		t.Fatalf("dense solve: %v", err)
+	}
+	if sol.Status == Optimal {
+		assertOptimal(t, p, sol)
 	}
 	return sol
 }
@@ -35,8 +145,8 @@ func TestSimpleMaximization(t *testing.T) {
 	// maximize 3x + 2y s.t. x + y <= 4, x + 3y <= 6.
 	p := NewProblem(2)
 	p.SetObjective([]float64{3, 2})
-	p.AddConstraint([]float64{1, 1}, LE, 4)
-	p.AddConstraint([]float64{1, 3}, LE, 6)
+	p.addDense([]float64{1, 1}, LE, 4)
+	p.addDense([]float64{1, 3}, LE, 6)
 	sol := solveOK(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -53,8 +163,8 @@ func TestEqualityConstraint(t *testing.T) {
 	// maximize x + y s.t. x + y = 5, x <= 3.
 	p := NewProblem(2)
 	p.SetObjective([]float64{1, 1})
-	p.AddConstraint([]float64{1, 1}, EQ, 5)
-	p.AddConstraint([]float64{1, 0}, LE, 3)
+	p.addDense([]float64{1, 1}, EQ, 5)
+	p.addDense([]float64{1, 0}, LE, 3)
 	sol := solveOK(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -71,8 +181,8 @@ func TestMinimizationViaNegation(t *testing.T) {
 	// minimize x + y s.t. x + 2y >= 4, 3x + y >= 6 -> optimum 2.8 at (1.6, 1.2).
 	p := NewProblem(2)
 	p.SetObjective(Minimize([]float64{1, 1}))
-	p.AddConstraint([]float64{1, 2}, GE, 4)
-	p.AddConstraint([]float64{3, 1}, GE, 6)
+	p.addDense([]float64{1, 2}, GE, 4)
+	p.addDense([]float64{3, 1}, GE, 6)
 	sol := solveOK(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -88,8 +198,8 @@ func TestMinimizationViaNegation(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective([]float64{1})
-	p.AddConstraint([]float64{1}, LE, 1)
-	p.AddConstraint([]float64{1}, GE, 2)
+	p.addDense([]float64{1}, LE, 1)
+	p.addDense([]float64{1}, GE, 2)
 	sol := solveOK(t, p)
 	if sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -100,9 +210,9 @@ func TestInfeasibleEquality(t *testing.T) {
 	// x + y = 10 with x <= 2, y <= 3 is infeasible.
 	p := NewProblem(2)
 	p.SetObjective([]float64{1, 0})
-	p.AddConstraint([]float64{1, 1}, EQ, 10)
-	p.AddConstraint([]float64{1, 0}, LE, 2)
-	p.AddConstraint([]float64{0, 1}, LE, 3)
+	p.addDense([]float64{1, 1}, EQ, 10)
+	p.addDense([]float64{1, 0}, LE, 2)
+	p.addDense([]float64{0, 1}, LE, 3)
 	sol := solveOK(t, p)
 	if sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -113,7 +223,7 @@ func TestUnbounded(t *testing.T) {
 	// maximize x with only y bounded.
 	p := NewProblem(2)
 	p.SetObjective([]float64{1, 0})
-	p.AddConstraint([]float64{0, 1}, LE, 1)
+	p.addDense([]float64{0, 1}, LE, 1)
 	sol := solveOK(t, p)
 	if sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
@@ -138,7 +248,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	// -x - y <= -2  is  x + y >= 2; minimize x + y -> 2.
 	p := NewProblem(2)
 	p.SetObjective(Minimize([]float64{1, 1}))
-	p.AddConstraint([]float64{-1, -1}, LE, -2)
+	p.addDense([]float64{-1, -1}, LE, -2)
 	sol := solveOK(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -163,14 +273,51 @@ func TestSparseConstraint(t *testing.T) {
 	}
 }
 
+// TestSparseRowsHoldTheirNonzeros pins the stored row format: a repeated
+// variable's coefficients are summed in the order given, the variable keeping
+// its first position, and exact zeros — given or summed — are dropped.
+func TestSparseRowsHoldTheirNonzeros(t *testing.T) {
+	p := NewProblem(5)
+	p.AddSparseConstraint([]Term{{Var: 3, Coeff: 1}, {Var: 1, Coeff: 2}, {Var: 4, Coeff: 0},
+		{Var: 2, Coeff: 1}, {Var: 3, Coeff: 0.5}, {Var: 2, Coeff: -1}}, GE, 7)
+	p.AddSparseConstraint(nil, LE, 1)
+	want := []Term{{Var: 3, Coeff: 1.5}, {Var: 1, Coeff: 2}}
+	if got := p.constraints[0]; !reflect.DeepEqual(got.terms, want) || got.rel != GE || got.rhs != 7 {
+		t.Fatalf("row 0 = %+v, want terms %v, >= 7", got, want)
+	}
+	if got := p.constraints[1].terms; len(got) != 0 {
+		t.Fatalf("empty row stored terms %v", got)
+	}
+}
+
+// TestSparseRowAllocation is the allocation regression test of the row
+// format: rows cost memory in proportion to their terms, not to NumVars, so
+// a thousand two-term rows over ten thousand variables allocate well under a
+// megabyte.
+func TestSparseRowAllocation(t *testing.T) {
+	const n, rows = 10000, 1000
+	p := NewProblem(n)
+	terms := make([]Term, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rows; i++ {
+		terms[0], terms[1] = Term{Var: i, Coeff: 1}, Term{Var: n - 1 - i, Coeff: -1}
+		p.AddSparseConstraint(terms, LE, 1)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("%d two-term rows over %d variables allocated %d bytes, want < 1 MB", rows, n, grew)
+	}
+}
+
 func TestDegenerateProblem(t *testing.T) {
 	// A classic degenerate corner: multiple constraints meet at the optimum.
 	p := NewProblem(2)
 	p.SetObjective([]float64{1, 1})
-	p.AddConstraint([]float64{1, 0}, LE, 1)
-	p.AddConstraint([]float64{0, 1}, LE, 1)
-	p.AddConstraint([]float64{1, 1}, LE, 2)
-	p.AddConstraint([]float64{2, 1}, LE, 3)
+	p.addDense([]float64{1, 0}, LE, 1)
+	p.addDense([]float64{0, 1}, LE, 1)
+	p.addDense([]float64{1, 1}, LE, 2)
+	p.addDense([]float64{2, 1}, LE, 3)
 	sol := solveOK(t, p)
 	if sol.Status != Optimal || math.Abs(sol.Objective-2) > 1e-7 {
 		t.Fatalf("sol = %+v", sol)
@@ -181,9 +328,9 @@ func TestMixedConstraintTypes(t *testing.T) {
 	// maximize 2x + 3y s.t. x + y <= 10, x >= 2, y = 3 -> x = 7, y = 3, obj 23.
 	p := NewProblem(2)
 	p.SetObjective([]float64{2, 3})
-	p.AddConstraint([]float64{1, 1}, LE, 10)
-	p.AddConstraint([]float64{1, 0}, GE, 2)
-	p.AddConstraint([]float64{0, 1}, EQ, 3)
+	p.addDense([]float64{1, 1}, LE, 10)
+	p.addDense([]float64{1, 0}, GE, 2)
+	p.addDense([]float64{0, 1}, EQ, 3)
 	sol := solveOK(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -199,10 +346,10 @@ func TestMixedConstraintTypes(t *testing.T) {
 func TestIterationLimit(t *testing.T) {
 	p := NewProblem(3)
 	p.SetObjective([]float64{1, 1, 1})
-	p.AddConstraint([]float64{1, 1, 0}, LE, 4)
-	p.AddConstraint([]float64{0, 1, 1}, LE, 4)
-	p.AddConstraint([]float64{1, 0, 1}, LE, 4)
-	sol, err := Solve(p, &Options{MaxIterations: 1})
+	p.addDense([]float64{1, 1, 0}, LE, 4)
+	p.addDense([]float64{0, 1, 1}, LE, 4)
+	p.addDense([]float64{1, 0, 1}, LE, 4)
+	sol, err := NewRevised(p, &Options{MaxIterations: 1}).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +367,10 @@ func TestPhase1IterationLimitIsMarkedInfeasible(t *testing.T) {
 	// cannot finish within a single pivot.
 	p := NewProblem(2)
 	p.SetObjective([]float64{1, 1})
-	p.AddConstraint([]float64{1, 1}, EQ, 5)
-	p.AddConstraint([]float64{1, 0}, LE, 3)
-	p.AddConstraint([]float64{0, 1}, LE, 3)
-	sol, err := Solve(p, &Options{MaxIterations: 1})
+	p.addDense([]float64{1, 1}, EQ, 5)
+	p.addDense([]float64{1, 0}, LE, 3)
+	p.addDense([]float64{0, 1}, LE, 3)
+	sol, err := NewRevised(p, &Options{MaxIterations: 1}).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +391,10 @@ func TestPhase1IterationLimitIsMarkedInfeasible(t *testing.T) {
 func TestPhase2IterationLimitStaysFeasible(t *testing.T) {
 	p := NewProblem(3)
 	p.SetObjective([]float64{1, 2, 3})
-	p.AddConstraint([]float64{1, 1, 0}, LE, 4)
-	p.AddConstraint([]float64{0, 1, 1}, LE, 4)
-	p.AddConstraint([]float64{1, 0, 1}, LE, 4)
-	sol, err := Solve(p, &Options{MaxIterations: 1})
+	p.addDense([]float64{1, 1, 0}, LE, 4)
+	p.addDense([]float64{0, 1, 1}, LE, 4)
+	p.addDense([]float64{1, 0, 1}, LE, 4)
+	sol, err := NewRevised(p, &Options{MaxIterations: 1}).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +418,7 @@ func TestPhase2IterationLimitStaysFeasible(t *testing.T) {
 func TestOptimalSolutionsAreMarkedFeasible(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective([]float64{3, 2})
-	p.AddConstraint([]float64{1, 1}, LE, 4)
+	p.addDense([]float64{1, 1}, LE, 4)
 	sol := solveOK(t, p)
 	if sol.Status != Optimal || !sol.Feasible || sol.Phase != 2 {
 		t.Fatalf("sol = %+v, want optimal/feasible/phase-2", sol)
@@ -290,14 +437,13 @@ func TestPanics(t *testing.T) {
 	}
 	mustPanic("NewProblem(0)", func() { NewProblem(0) })
 	mustPanic("short objective", func() { NewProblem(2).SetObjective([]float64{1}) })
-	mustPanic("short constraint", func() { NewProblem(2).AddConstraint([]float64{1}, LE, 1) })
 	mustPanic("bad sparse var", func() {
 		NewProblem(2).AddSparseConstraint([]Term{{Var: 5, Coeff: 1}}, LE, 1)
 	})
 }
 
 func TestSolveNilProblem(t *testing.T) {
-	if _, err := Solve(nil, nil); err == nil {
+	if _, err := denseSolve(nil, nil); err == nil {
 		t.Fatal("nil problem accepted")
 	}
 }
@@ -305,7 +451,7 @@ func TestSolveNilProblem(t *testing.T) {
 func TestSetObjectiveCoeff(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjectiveCoeff(1, 5)
-	p.AddConstraint([]float64{1, 1}, LE, 2)
+	p.addDense([]float64{1, 1}, LE, 2)
 	sol := solveOK(t, p)
 	if math.Abs(sol.Objective-10) > 1e-7 {
 		t.Fatalf("objective = %v, want 10", sol.Objective)
@@ -323,11 +469,11 @@ func TestKnownTransportationProblem(t *testing.T) {
 	// Variables x[s][d] flattened as s*3+d.
 	p := NewProblem(6)
 	p.SetObjective(Minimize([]float64{4, 6, 8, 5, 3, 7}))
-	p.AddConstraint([]float64{1, 1, 1, 0, 0, 0}, LE, 10)
-	p.AddConstraint([]float64{0, 0, 0, 1, 1, 1}, LE, 15)
-	p.AddConstraint([]float64{1, 0, 0, 1, 0, 0}, EQ, 8)
-	p.AddConstraint([]float64{0, 1, 0, 0, 1, 0}, EQ, 7)
-	p.AddConstraint([]float64{0, 0, 1, 0, 0, 1}, EQ, 10)
+	p.addDense([]float64{1, 1, 1, 0, 0, 0}, LE, 10)
+	p.addDense([]float64{0, 0, 0, 1, 1, 1}, LE, 15)
+	p.addDense([]float64{1, 0, 0, 1, 0, 0}, EQ, 8)
+	p.addDense([]float64{0, 1, 0, 0, 1, 0}, EQ, 7)
+	p.addDense([]float64{0, 0, 1, 0, 0, 1}, EQ, 10)
 	sol := solveOK(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -356,7 +502,7 @@ func TestBoundedBoxProperty(t *testing.T) {
 			sumB += bounds[i]
 			row := make([]float64, n)
 			row[i] = 1
-			p.AddConstraint(row, LE, bounds[i])
+			p.addDense(row, LE, bounds[i])
 		}
 		p.SetObjective(obj)
 		budget := 0.5 + 10*rng.Float64()
@@ -364,11 +510,12 @@ func TestBoundedBoxProperty(t *testing.T) {
 		for i := range all {
 			all[i] = 1
 		}
-		p.AddConstraint(all, LE, budget)
-		sol, err := Solve(p, nil)
+		p.addDense(all, LE, budget)
+		sol, err := NewRevised(p, nil).Solve()
 		if err != nil || sol.Status != Optimal {
 			return false
 		}
+		assertOptimal(t, p, sol)
 		want := math.Min(sumB, budget)
 		if math.Abs(sol.Objective-want) > 1e-6 {
 			return false
@@ -412,19 +559,16 @@ func TestRandomFeasibleLPsAreSolvedConsistently(t *testing.T) {
 			}
 			rows[i][rng.Intn(n)] += 0.5 // ensure at least one strictly positive entry
 			rhs[i] = 1 + rng.Float64()*5
-			p.AddConstraint(rows[i], LE, rhs[i])
+			p.addDense(rows[i], LE, rhs[i])
 		}
 		// Make sure every variable appears in some constraint so the problem
 		// is bounded.
 		for j := 0; j < n; j++ {
 			row := make([]float64, n)
 			row[j] = 1
-			p.AddConstraint(row, LE, 10)
+			p.addDense(row, LE, 10)
 		}
-		sol, err := Solve(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sol := solveOK(t, p)
 		if sol.Status != Optimal {
 			t.Fatalf("trial %d: status %v", trial, sol.Status)
 		}
@@ -468,14 +612,14 @@ func TestRandomFeasibleLPsAreSolvedConsistently(t *testing.T) {
 	}
 }
 
-// TestCertifyRejectsViolatingPoints pins the dense solver's fence on points
-// chosen by hand: a point is accepted when it satisfies x >= 0 and every row
-// to 1e-6 relative, and rejected with ErrNotCertified otherwise.
+// TestCertifyRejectsViolatingPoints pins the dense reference's fence on
+// points chosen by hand: a point is accepted when it satisfies x >= 0 and
+// every row to 1e-6 relative, and rejected with errNotCertified otherwise.
 func TestCertifyRejectsViolatingPoints(t *testing.T) {
 	p := NewProblem(2)
-	p.AddConstraint([]float64{1, 1}, LE, 4)
-	p.AddConstraint([]float64{1, -1}, GE, -1)
-	p.AddConstraint([]float64{1e6, 0}, EQ, 2e6)
+	p.addDense([]float64{1, 1}, LE, 4)
+	p.addDense([]float64{1, -1}, GE, -1)
+	p.addDense([]float64{1e6, 0}, EQ, 2e6)
 	for _, tc := range []struct {
 		x  []float64
 		ok bool
@@ -491,8 +635,8 @@ func TestCertifyRejectsViolatingPoints(t *testing.T) {
 		if tc.ok && err != nil {
 			t.Errorf("x=%v: %v, want accepted", tc.x, err)
 		}
-		if !tc.ok && !errors.Is(err, ErrNotCertified) {
-			t.Errorf("x=%v: err = %v, want ErrNotCertified", tc.x, err)
+		if !tc.ok && !errors.Is(err, errNotCertified) {
+			t.Errorf("x=%v: err = %v, want errNotCertified", tc.x, err)
 		}
 	}
 }

@@ -2,25 +2,21 @@ package lp
 
 import (
 	"context"
+	"fmt"
 	"math"
 )
 
-// Revised is a resolvable revised-simplex solver handle for the cutting-plane
-// pattern: solve a problem once, then repeatedly append constraint rows and
-// re-solve warm. Constraints may be added through the handle (AddConstraint,
-// AddSparseConstraint) or directly on the underlying Problem — both are
-// picked up at the next Solve, and the Problem always holds the complete row
-// set, so a cold dense Solve of the same Problem is an exact differential
-// oracle for the warm path. Where the dense tableau rewrites every row and
-// column on each pivot (O(m·(n+m)) per pivot), Revised keeps the constraint
-// matrix in sparse column form and maintains only a factorization
-// of the basis: a dense LU of the small structural core (see factor.go) plus
-// a product-form eta file of recent pivots. Each pivot then costs two
-// factorization solves (FTRAN/BTRAN, O(k²) dense work for a core of k
-// structural basics) plus one sweep over the sparse columns for pricing —
-// on the cutting-plane masters of package steady, where most basic columns
-// are slacks, this is the difference between sweeps capped near n=96 and
-// sweeps that complete at n=1024.
+// Revised is the package's LP solver: a resolvable revised-simplex handle for
+// the cutting-plane pattern. Solve a problem once, then repeatedly append
+// constraint rows on the underlying Problem and re-solve warm; the Problem
+// always holds the complete row set, so a cold solve of the same Problem is an
+// exact differential check of the warm path. Revised keeps the constraint
+// matrix in sparse column form and maintains only a factorization of the
+// basis: a sparse LU of the small structural core (see factor.go) plus a
+// product-form eta file of recent pivots. Each pivot then costs two
+// factorization solves (FTRAN/BTRAN) plus one sweep over the sparse columns
+// for pricing — on the cutting-plane masters of package steady, where most
+// basic columns are slacks, that is what lets sweeps complete at n=1024.
 //
 // The factorization is refactorized from scratch on two triggers: an
 // update-count trigger (etaLimit pivots since the last refactorization) and
@@ -41,12 +37,10 @@ import (
 // takes steps of positive length instead of stalling; the perturbation is
 // dropped before the primal polish, so the optimum and the duals returned are
 // those of the problem as given. A warm attempt that still fails (budget,
-// numerical trouble) costs one cold revised solve and the next solve tries
-// warm again; a cold revised solve that fails numerically falls back to the
-// dense tableau (SolveContext) — the dense solver remains both the
-// differential oracle and the fallback of last resort. All scratch vectors
-// and the eta file are arena-backed and reused across solves, so steady-state
-// warm pivoting does not allocate.
+// numerical trouble) costs one cold solve and the next solve tries warm
+// again; a cold solve that fails numerically returns an error wrapping
+// ErrNumerical. All scratch vectors and the eta file are arena-backed and
+// reused across solves, so steady-state warm pivoting does not allocate.
 type Revised struct {
 	p    *Problem
 	opts *Options
@@ -55,8 +49,8 @@ type Revised struct {
 	// Normalized matrix state. Structural columns are stored sparsely;
 	// logical columns (slack/surplus/artificial) are implicit signed unit
 	// vectors described by logRow/logSign/logArt. Cold solves rebuild this
-	// state from the Problem (flipping negative-RHS rows exactly as
-	// newTableau does); warm solves extend it row by row without flipping.
+	// state from the Problem (flipping negative-RHS rows); warm solves
+	// extend it row by row without flipping.
 	m       int // rows
 	nStruct int // structural columns (decision variables)
 	cols    []revCol
@@ -93,6 +87,11 @@ type Revised struct {
 	alpha      []float64 // dual pivot row per column
 	shift      []float64 // dual-phase cost perturbation per column (see perturb)
 	shifted    bool      // colCost subtracts shift: true only inside dualIterate
+
+	// refactorInterval overrides the update-count refactorization trigger
+	// when positive (see etaTrigger); the package's tests set it to pin
+	// refactor-boundary behaviour, production leaves it at etaLimit.
+	refactorInterval int
 
 	built    bool // factorized state matches the problem and may warm-start
 	status   Status
@@ -136,22 +135,17 @@ type FactorStats struct {
 	// MaxEtaChain is the longest eta chain observed between
 	// refactorizations; it is bounded by etaLimit.
 	MaxEtaChain int
-	// DenseFallbacks counts the solves that fell back to the dense tableau
-	// after the revised path failed numerically.
-	DenseFallbacks int
 }
 
 // statusNumerical is the internal verdict of an iteration that hit numerical
-// trouble the factorization could not recover from (singular refactorized
-// basis, unstable pivot after a fresh refactorization). It never escapes the
-// handle: SolveContext converts it into a cold re-solve or a dense fallback.
+// trouble the factorization could not recover from (a singular refactorized
+// basis, a dual pivot row that disagrees with its column on a fresh
+// factorization). It never escapes the handle: SolveContext converts it into
+// a cold re-solve or ErrNumerical.
 const statusNumerical Status = -1
 
 // NewRevised returns a revised-simplex handle over the problem. The problem
 // may already contain constraints; nothing is solved until Solve is called.
-// The dense Solve remains an exact differential oracle: both report objectives
-// within standard simplex tolerances of each other on any feasible bounded
-// problem.
 func NewRevised(p *Problem, opts *Options) *Revised {
 	tol := 1e-9
 	if opts != nil && opts.Tolerance > 0 {
@@ -168,17 +162,6 @@ func (rv *Revised) FactorStats() FactorStats { return rv.fstats }
 
 // LastWarm reports whether the most recent Solve reused the previous basis.
 func (rv *Revised) LastWarm() bool { return rv.lastWarm }
-
-// AddConstraint appends a dense constraint row (see Problem.AddConstraint).
-func (rv *Revised) AddConstraint(coeffs []float64, rel Relation, rhs float64) {
-	rv.p.AddConstraint(coeffs, rel, rhs)
-}
-
-// AddSparseConstraint appends a sparse constraint row (see
-// Problem.AddSparseConstraint).
-func (rv *Revised) AddSparseConstraint(terms []Term, rel Relation, rhs float64) {
-	rv.p.AddSparseConstraint(terms, rel, rhs)
-}
 
 // Solve re-optimizes the problem over all constraints added so far; see
 // SolveContext.
@@ -197,7 +180,8 @@ func (rv *Revised) Solve() (*Solution, error) {
 // simplex. A canceled solve leaves the handle consistent but cold: the
 // mid-pivot factorization is discarded and never seeds a warm start, and a
 // canceled warm attempt returns the wrapped ErrCanceled directly instead of
-// spending a cold solve on a deadline that has already expired.
+// spending a cold solve on a deadline that has already expired. A cold solve
+// that fails numerically returns an error wrapping ErrNumerical.
 func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 	if rv.p == nil || rv.p.numVars == 0 {
 		return nil, ErrBadProblem
@@ -226,17 +210,6 @@ func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 		rv.invalidate()
 		return nil, err
 	}
-	if sol == nil {
-		// The revised path failed numerically: fall back to the dense
-		// tableau, the oracle of last resort.
-		rv.fstats.DenseFallbacks++
-		rv.invalidate()
-		sol, err = SolveContext(ctx, rv.p, rv.opts)
-		if err != nil {
-			return nil, err
-		}
-		rv.status = sol.Status
-	}
 	rv.stats.ColdSolves++
 	rv.stats.ColdPivots += sol.Iterations
 	rv.lastWarm = false
@@ -254,12 +227,18 @@ func (rv *Revised) invalidate() {
 
 func (rv *Revised) numCols() int { return rv.nStruct + len(rv.logRow) }
 
+// pollCtx reports whether the context is done. It is called from the pivot
+// loops every cancelCheckInterval pivots; a nil context never cancels.
+func pollCtx(ctx context.Context) bool {
+	return ctx != nil && ctx.Err() != nil
+}
+
 // etaTrigger is the update-count refactorization trigger: the eta-file
-// length at which the factorization is rebuilt (Options.RefactorInterval,
-// or etaLimit by default). FactorStats.MaxEtaChain is bounded by it.
+// length at which the factorization is rebuilt (etaLimit unless
+// refactorInterval overrides it). FactorStats.MaxEtaChain is bounded by it.
 func (rv *Revised) etaTrigger() int {
-	if rv.opts != nil && rv.opts.RefactorInterval > 0 {
-		return rv.opts.RefactorInterval
+	if rv.refactorInterval > 0 {
+		return rv.refactorInterval
 	}
 	return etaLimit
 }
@@ -286,9 +265,9 @@ func (rv *Revised) addLogical(row int, sign float64, art bool) int {
 }
 
 // build constructs the normalized matrix and the initial logical basis from
-// the problem, exactly mirroring newTableau: rows with negative right-hand
-// sides are flipped, LE rows get a basic slack, GE rows a surplus plus a
-// basic artificial, EQ rows a basic artificial.
+// the problem: rows with negative right-hand sides are flipped, LE rows get a
+// basic slack, GE rows a surplus plus a basic artificial, EQ rows a basic
+// artificial.
 func (rv *Revised) build() {
 	n := rv.p.numVars
 	rv.nStruct = n
@@ -320,10 +299,8 @@ func (rv *Revised) build() {
 		rv.rowSign[i] = sign
 		rv.rowCons[i] = int32(i)
 		rv.rhs[i] = b
-		for j, v := range c.coeffs {
-			if v != 0 {
-				rv.cols[j].add(i, sign*v)
-			}
+		for _, t := range c.terms {
+			rv.cols[t.Var].add(i, sign*t.Coeff)
 		}
 		switch rel {
 		case LE:
@@ -344,7 +321,7 @@ func (rv *Revised) build() {
 // (negated when negate is set), its slack basic in the new position. The
 // basic value is recomputed by the refactorization that must follow an append
 // batch.
-func (rv *Revised) appendRow(cons int, coeffs []float64, b float64, negate bool) {
+func (rv *Revised) appendRow(cons int, terms []Term, b float64, negate bool) {
 	i := rv.m
 	rv.m++
 	sign := 1.0
@@ -354,10 +331,8 @@ func (rv *Revised) appendRow(cons int, coeffs []float64, b float64, negate bool)
 	rv.rhs = append(rv.rhs, sign*b)
 	rv.rowSign = append(rv.rowSign, sign)
 	rv.rowCons = append(rv.rowCons, int32(cons))
-	for j, v := range coeffs {
-		if v != 0 {
-			rv.cols[j].add(i, sign*v)
-		}
+	for _, t := range terms {
+		rv.cols[t.Var].add(i, sign*t.Coeff)
 	}
 	slack := rv.addLogical(i, 1, false)
 	rv.basis = append(rv.basis, slack)
@@ -365,6 +340,18 @@ func (rv *Revised) appendRow(cons int, coeffs []float64, b float64, negate bool)
 	rv.banned = append(rv.banned, false)
 	rv.xB = append(rv.xB, 0)
 	rv.cB = append(rv.cB, 0)
+}
+
+// flip returns the relation of a row multiplied by −1.
+func flip(r Relation) Relation {
+	switch r {
+	case LE:
+		return GE
+	case GE:
+		return LE
+	default:
+		return EQ
+	}
 }
 
 // finishBasis rebuilds posOf/banned/xB/cB after a cold build.
@@ -449,7 +436,7 @@ func (rv *Revised) ensureScratch() {
 	rv.shift = grow(rv.shift, nc)
 }
 
-// refactor rebuilds the singleton/core split and the dense core LU from the
+// refactor rebuilds the singleton/core split and the sparse core LU from the
 // current basis, clears the eta file and recomputes x_B = B⁻¹b from the
 // problem data. It reports false when the basis is numerically singular.
 func (rv *Revised) refactor() bool {
@@ -657,7 +644,12 @@ func (rv *Revised) priceAll(y []float64) {
 	}
 }
 
-// relTol mirrors tableau.relTol: comparison tolerance relative to |ref|.
+// relTol is the comparison tolerance for quantities of the magnitude of ref:
+// tol·(1+|ref|), so that ratio comparisons do not flip when the problem data
+// is scaled up. The absolute floor is deliberate: merging the swarms of
+// near-zero ratios of a degenerate basis into ties (resolved by the callers'
+// deterministic tie-breaks) keeps pivoting from crawling through degenerate
+// stretches.
 func (rv *Revised) relTol(ref float64) float64 {
 	if ref < 0 {
 		ref = -ref
@@ -715,8 +707,8 @@ func stable(w []float64, leave int) bool {
 	return math.Abs(w[leave]) > pivotGrowthTol*(1+maxAbs)
 }
 
-// chooseEntering mirrors tableau.chooseEntering: most positive reduced cost
-// (Dantzig) or lowest-index positive (Bland), skipping banned columns.
+// chooseEntering picks the entering column: the most positive reduced cost
+// (Dantzig) or the lowest-index positive one (Bland), skipping banned columns.
 func (rv *Revised) chooseEntering(bland bool) int {
 	d := rv.d[:rv.numCols()]
 	best := -1
@@ -736,9 +728,11 @@ func (rv *Revised) chooseEntering(bland bool) int {
 	return best
 }
 
-// chooseLeaving mirrors tableau.chooseLeaving: minimum-ratio test over the
-// transformed column with relative-tolerance ties broken by the smallest
-// basic-column id.
+// chooseLeaving performs the minimum-ratio test over the transformed column
+// and returns the pivot position, or -1 if no row bounds the entering
+// variable. Ties (up to relTol of the ratio, so the choice does not flip on
+// rescaled platforms) are broken by the smallest basic-column id, which
+// combines well with the Bland fallback.
 func (rv *Revised) chooseLeaving(w []float64) int {
 	best := -1
 	bestRatio := 0.0
@@ -767,8 +761,22 @@ func (rv *Revised) chooseLeaving(w []float64) int {
 }
 
 // iterate runs primal revised-simplex pivots until optimality, unboundedness,
-// the iteration limit or numerical failure, with the same Dantzig→Bland
-// anti-cycling policy as tableau.iterate.
+// the iteration limit or a singular refactorization. detectUnbounded controls
+// whether an entering column with no positive transformed coefficient reports
+// Unbounded (phase 1 can never be unbounded, so it passes false).
+//
+// Pricing uses Dantzig's rule and permanently switches to Bland's rule once
+// the objective value stalls for a long stretch of (necessarily degenerate)
+// pivots, which guarantees termination without paying Bland's slow
+// convergence on well-behaved problems.
+//
+// A transformed pivot element too small relative to its column triggers one
+// refactorization and a recomputed column, since a stale eta chain is the
+// usual cause. On a fresh factorization there is no chain left to blame: the
+// small pivot belongs to the problem itself — nearly parallel rows, or a
+// basic value a tied ratio test left a hair below zero — and it is committed,
+// as a dense tableau would. The certificate every Optimal verdict passes
+// (certify) is what stands behind the point such a pivot leads to.
 func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detectUnbounded bool) Status {
 	stallLimit := 4 * (rv.m + 16)
 	lastObjective := rv.objValue()
@@ -796,6 +804,9 @@ func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detec
 		if enter < 0 {
 			return Optimal
 		}
+		// Optimality is checked before the budget so that a basis that is
+		// already optimal when the last pivot exhausted the allowance is
+		// reported Optimal, not IterationLimit.
 		if *counter >= maxIter {
 			return IterationLimit
 		}
@@ -803,32 +814,23 @@ func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detec
 		rv.colDense(enter, rv.colScratch[:rv.m])
 		rv.ftran(rv.colScratch[:rv.m], w)
 		leave := rv.chooseLeaving(w)
-		if leave < 0 {
-			if detectUnbounded {
-				return Unbounded
-			}
-			// Phase 1 is bounded above by zero; a missing ratio is a
-			// numerical artifact. Treat as optimal, like the tableau.
-			return Optimal
-		}
-		if !stable(w, leave) {
+		if leave >= 0 && !stable(w, leave) && rv.etas.count() > 0 {
 			// Growth trigger: refactorize and recompute the column through
 			// the fresh factorization before committing.
-			if rv.etas.count() == 0 || !rv.refactor() {
+			if !rv.refactor() {
 				return statusNumerical
 			}
 			rv.colDense(enter, rv.colScratch[:rv.m])
 			rv.ftran(rv.colScratch[:rv.m], w)
 			leave = rv.chooseLeaving(w)
-			if leave < 0 {
-				if detectUnbounded {
-					return Unbounded
-				}
-				return Optimal
+		}
+		if leave < 0 {
+			if detectUnbounded {
+				return Unbounded
 			}
-			if !stable(w, leave) {
-				return statusNumerical
-			}
+			// Phase 1 is bounded above by zero; a missing ratio is a
+			// numerical artifact. Treat as optimal.
+			return Optimal
 		}
 		rv.pivot(leave, enter, w)
 		*counter++
@@ -1018,7 +1020,7 @@ func (rv *Revised) dualIterate(ctx context.Context, maxIter int, counter *int) S
 // banArtificials bans artificial columns from entering (phase 2) and pivots
 // still-basic artificials out where a non-banned column with a usable
 // transformed coefficient exists; redundant rows keep their artificial basic
-// at level zero, exactly like tableau.forbidArtificials.
+// at level zero, which does not affect the optimum.
 func (rv *Revised) banArtificials() bool {
 	for _, j := range rv.artIDs {
 		rv.banned[j] = true
@@ -1163,24 +1165,30 @@ func (rv *Revised) Duals() []float64 {
 }
 
 // coldSolve runs the two-phase revised simplex from the slack/artificial
-// basis. It returns (nil, nil) on numerical failure, signalling SolveContext
-// to fall back to the dense tableau.
+// basis. A numerical failure is an error wrapping ErrNumerical.
 func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	if len(rv.p.constraints) == 0 {
-		// No rows: decided without a basis, by the dense solver's rule.
-		sol, err := SolveContext(ctx, rv.p, rv.opts)
+		// No rows: the optimum is 0 at x = 0 unless some objective
+		// coefficient is positive, in which case the problem is unbounded.
 		rv.invalidate()
-		if err == nil {
-			rv.status = sol.Status
+		rv.status = Optimal
+		for _, c := range rv.p.objective {
+			if c > rv.tol {
+				rv.status = Unbounded
+			}
 		}
-		return sol, err
+		sol := &Solution{Status: rv.status, X: make([]float64, rv.p.numVars), Phase: 2}
+		if rv.status == Optimal {
+			sol.Feasible, sol.Dual = true, []float64{}
+		}
+		return sol, nil
 	}
 	rv.phase1 = false
 	rv.build()
 	rv.phase1 = rv.numArt > 0
 	rv.resetCosts()
 	if !rv.refactor() {
-		return nil, nil
+		return nil, numericalErr("singular slack basis")
 	}
 	maxIter := rv.maxIterations()
 	sol := &Solution{X: make([]float64, rv.p.numVars)}
@@ -1193,7 +1201,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 		case st == Canceled:
 			return nil, canceledErr(ctx)
 		case st == statusNumerical:
-			return nil, nil
+			return nil, numericalErr("phase 1")
 		case st == IterationLimit:
 			sol.Status = IterationLimit
 			rv.status = IterationLimit
@@ -1205,7 +1213,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 			return sol, nil
 		}
 		if !rv.banArtificials() {
-			return nil, nil
+			return nil, numericalErr("driving artificials out of the basis")
 		}
 	}
 	sol.Phase = 2
@@ -1217,7 +1225,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	case st == Canceled:
 		return nil, canceledErr(ctx)
 	case st == statusNumerical:
-		return nil, nil
+		return nil, numericalErr("phase 2")
 	}
 	sol.Status = st
 	rv.status = st
@@ -1225,7 +1233,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 		return sol, nil
 	}
 	if st == Optimal && !rv.certify() {
-		return nil, nil
+		return nil, numericalErr("optimal basis failed its residual certificate")
 	}
 	rv.extract(sol.X)
 	sol.Objective = dot(rv.p.objective, sol.X)
@@ -1236,6 +1244,11 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 		rv.objSnap = append(rv.objSnap[:0], rv.p.objective...)
 	}
 	return sol, nil
+}
+
+// numericalErr builds the error of a cold solve that failed numerically.
+func numericalErr(where string) error {
+	return fmt.Errorf("%w: %s", ErrNumerical, where)
 }
 
 // objectiveUnchanged reports whether the objective still matches the
@@ -1266,14 +1279,14 @@ func (rv *Revised) warmSolve(ctx context.Context) *Solution {
 		cons := rv.synced + k
 		switch c.rel {
 		case LE:
-			rv.appendRow(cons, c.coeffs, c.rhs, false)
+			rv.appendRow(cons, c.terms, c.rhs, false)
 			appended++
 		case GE:
-			rv.appendRow(cons, c.coeffs, c.rhs, true)
+			rv.appendRow(cons, c.terms, c.rhs, true)
 			appended++
 		case EQ:
-			rv.appendRow(cons, c.coeffs, c.rhs, false)
-			rv.appendRow(cons, c.coeffs, c.rhs, true)
+			rv.appendRow(cons, c.terms, c.rhs, false)
+			rv.appendRow(cons, c.terms, c.rhs, true)
 			appended += 2
 		}
 	}

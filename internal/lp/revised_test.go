@@ -24,6 +24,18 @@ func assertAgree(t *testing.T, label string, rev, dense *Solution) {
 	}
 }
 
+// assertAgreeOptimal is assertAgree plus assertOptimal on both solutions when
+// they are Optimal: the revised one with the handle's duals (cold or warm), the
+// dense one with its own.
+func assertAgreeOptimal(t *testing.T, label string, rv *Revised, rev, dense *Solution) {
+	t.Helper()
+	assertAgree(t, label, rev, dense)
+	if dense.Status == Optimal {
+		assertRevisedOptimal(t, rv, rev)
+		assertOptimal(t, rv.p, dense)
+	}
+}
+
 // randomBoundedLP builds a random LP with mixed LE/GE/EQ rows, any-sign
 // right-hand sides and box constraints keeping it bounded.
 func randomBoundedLP(rng *rand.Rand) *Problem {
@@ -40,12 +52,12 @@ func randomBoundedLP(rng *rand.Rand) *Problem {
 				coeffs[j] = rng.Float64()*4 - 2
 			}
 		}
-		p.AddConstraint(coeffs, Relation(rng.Intn(3)), rng.Float64()*10-3)
+		p.addDense(coeffs, Relation(rng.Intn(3)), rng.Float64()*10-3)
 	}
 	for j := 0; j < n; j++ {
 		coeffs := make([]float64, n)
 		coeffs[j] = 1
-		p.AddConstraint(coeffs, LE, 5)
+		p.addDense(coeffs, LE, 5)
 	}
 	return p
 }
@@ -57,15 +69,16 @@ func TestRevisedMatchesDenseOnRandomLPs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 400; iter++ {
 		p := randomBoundedLP(rng)
-		dense, err := Solve(p, nil)
+		dense, err := denseSolve(p, nil)
 		if err != nil {
 			t.Fatalf("iter %d dense: %v", iter, err)
 		}
-		rsol, err := NewRevised(p, nil).Solve()
+		rv := NewRevised(p, nil)
+		rsol, err := rv.Solve()
 		if err != nil {
 			t.Fatalf("iter %d revised: %v", iter, err)
 		}
-		assertAgree(t, "random", rsol, dense)
+		assertAgreeOptimal(t, "random", rv, rsol, dense)
 	}
 }
 
@@ -86,12 +99,14 @@ func TestRevisedWarmAppendMatchesDense(t *testing.T) {
 		for j := 0; j < n; j++ {
 			coeffs := make([]float64, n)
 			coeffs[j] = 1
-			p.AddConstraint(coeffs, LE, 3)
-			q.AddConstraint(append([]float64(nil), coeffs...), LE, 3)
+			p.addDense(coeffs, LE, 3)
+			q.addDense(append([]float64(nil), coeffs...), LE, 3)
 		}
 		rv := NewRevised(p, nil)
-		if _, err := rv.Solve(); err != nil {
+		if sol, err := rv.Solve(); err != nil {
 			t.Fatalf("iter %d cold: %v", iter, err)
+		} else {
+			assertRevisedOptimal(t, rv, sol)
 		}
 		for stage := 0; stage < 4; stage++ {
 			coeffs := make([]float64, n)
@@ -102,17 +117,17 @@ func TestRevisedWarmAppendMatchesDense(t *testing.T) {
 			}
 			rel := Relation(rng.Intn(3))
 			rhs := rng.Float64() * 4
-			rv.AddConstraint(coeffs, rel, rhs)
-			q.AddConstraint(append([]float64(nil), coeffs...), rel, rhs)
+			rv.p.addDense(coeffs, rel, rhs)
+			q.addDense(append([]float64(nil), coeffs...), rel, rhs)
 			rsol, err := rv.Solve()
 			if err != nil {
 				t.Fatalf("iter %d stage %d revised: %v", iter, stage, err)
 			}
-			dense, err := Solve(q, nil)
+			dense, err := denseSolve(q, nil)
 			if err != nil {
 				t.Fatalf("iter %d stage %d dense: %v", iter, stage, err)
 			}
-			assertAgree(t, "warm append", rsol, dense)
+			assertAgreeOptimal(t, "warm append", rv, rsol, dense)
 			if dense.Status != Optimal {
 				break
 			}
@@ -120,8 +135,8 @@ func TestRevisedWarmAppendMatchesDense(t *testing.T) {
 	}
 }
 
-// TestRevisedUnitLPs pins the revised solver on the same hand-written corner
-// cases the dense solver is pinned on: every relation kind, negative
+// TestRevisedUnitLPs pins the revised solver against the dense reference on
+// hand-written corner cases: every relation kind, negative
 // right-hand sides, infeasibility, unboundedness and the empty problem.
 func TestRevisedUnitLPs(t *testing.T) {
 	cases := []struct {
@@ -132,55 +147,55 @@ func TestRevisedUnitLPs(t *testing.T) {
 			p := NewProblem(2)
 			p.SetObjectiveCoeff(0, 3)
 			p.SetObjectiveCoeff(1, 5)
-			p.AddConstraint([]float64{1, 0}, LE, 4)
-			p.AddConstraint([]float64{0, 2}, LE, 12)
-			p.AddConstraint([]float64{3, 2}, LE, 18)
+			p.addDense([]float64{1, 0}, LE, 4)
+			p.addDense([]float64{0, 2}, LE, 12)
+			p.addDense([]float64{3, 2}, LE, 18)
 			return p
 		}},
 		{"ge", func() *Problem {
 			p := NewProblem(2)
 			p.SetObjectiveCoeff(0, 1)
 			p.SetObjectiveCoeff(1, 1)
-			p.AddConstraint([]float64{1, 1}, GE, 2)
-			p.AddConstraint([]float64{1, 0}, LE, 3)
-			p.AddConstraint([]float64{0, 1}, LE, 3)
+			p.addDense([]float64{1, 1}, GE, 2)
+			p.addDense([]float64{1, 0}, LE, 3)
+			p.addDense([]float64{0, 1}, LE, 3)
 			return p
 		}},
 		{"eq", func() *Problem {
 			p := NewProblem(3)
 			p.SetObjectiveCoeff(0, 2)
 			p.SetObjectiveCoeff(1, 3)
-			p.AddConstraint([]float64{1, 1, 1}, EQ, 10)
-			p.AddConstraint([]float64{1, 0, 0}, LE, 4)
-			p.AddConstraint([]float64{0, 1, 0}, LE, 6)
+			p.addDense([]float64{1, 1, 1}, EQ, 10)
+			p.addDense([]float64{1, 0, 0}, LE, 4)
+			p.addDense([]float64{0, 1, 0}, LE, 6)
 			return p
 		}},
 		{"negative-rhs", func() *Problem {
 			p := NewProblem(2)
 			p.SetObjectiveCoeff(0, 1)
-			p.AddConstraint([]float64{-1, -1}, LE, -2)
-			p.AddConstraint([]float64{1, 0}, LE, 5)
-			p.AddConstraint([]float64{0, 1}, LE, 5)
+			p.addDense([]float64{-1, -1}, LE, -2)
+			p.addDense([]float64{1, 0}, LE, 5)
+			p.addDense([]float64{0, 1}, LE, 5)
 			return p
 		}},
 		{"infeasible", func() *Problem {
 			p := NewProblem(2)
 			p.SetObjectiveCoeff(0, 1)
-			p.AddConstraint([]float64{1, 1}, LE, 1)
-			p.AddConstraint([]float64{1, 1}, GE, 3)
+			p.addDense([]float64{1, 1}, LE, 1)
+			p.addDense([]float64{1, 1}, GE, 3)
 			return p
 		}},
 		{"infeasible-eq", func() *Problem {
 			p := NewProblem(2)
 			p.SetObjectiveCoeff(0, 1)
-			p.AddConstraint([]float64{1, 0}, EQ, 2)
-			p.AddConstraint([]float64{1, 0}, EQ, 3)
+			p.addDense([]float64{1, 0}, EQ, 2)
+			p.addDense([]float64{1, 0}, EQ, 3)
 			return p
 		}},
 		{"unbounded", func() *Problem {
 			p := NewProblem(2)
 			p.SetObjectiveCoeff(0, 1)
-			p.AddConstraint([]float64{0, 1}, LE, 1)
+			p.addDense([]float64{0, 1}, LE, 1)
 			return p
 		}},
 		{"empty", func() *Problem {
@@ -192,24 +207,25 @@ func TestRevisedUnitLPs(t *testing.T) {
 			p := NewProblem(2)
 			p.SetObjectiveCoeff(0, 1)
 			p.SetObjectiveCoeff(1, 1)
-			p.AddConstraint([]float64{1, 1}, LE, 2)
-			p.AddConstraint([]float64{1, 1}, LE, 2)
-			p.AddConstraint([]float64{1, 0}, LE, 2)
+			p.addDense([]float64{1, 1}, LE, 2)
+			p.addDense([]float64{1, 1}, LE, 2)
+			p.addDense([]float64{1, 0}, LE, 2)
 			return p
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.build()
-			dense, err := Solve(p, nil)
+			dense, err := denseSolve(p, nil)
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
-			rsol, err := NewRevised(p, nil).Solve()
+			rv := NewRevised(p, nil)
+			rsol, err := rv.Solve()
 			if err != nil {
 				t.Fatalf("revised: %v", err)
 			}
-			assertAgree(t, tc.name, rsol, dense)
+			assertAgreeOptimal(t, tc.name, rv, rsol, dense)
 			if dense.Status == Optimal {
 				for j := range dense.X {
 					if d := math.Abs(dense.X[j] - rsol.X[j]); d > 1e-6 {
@@ -229,12 +245,14 @@ func TestRevisedWarmAcrossObjectiveChange(t *testing.T) {
 		p.SetObjectiveCoeff(j, 1)
 		coeffs := make([]float64, 3)
 		coeffs[j] = 1
-		p.AddConstraint(coeffs, LE, float64(j+1))
+		p.addDense(coeffs, LE, float64(j+1))
 	}
-	p.AddConstraint([]float64{1, 1, 1}, LE, 4)
+	p.addDense([]float64{1, 1, 1}, LE, 4)
 	rv := NewRevised(p, nil)
-	if _, err := rv.Solve(); err != nil {
+	if sol, err := rv.Solve(); err != nil {
 		t.Fatal(err)
+	} else {
+		assertRevisedOptimal(t, rv, sol)
 	}
 	if rv.LastWarm() {
 		t.Fatal("first solve reported warm")
@@ -247,11 +265,11 @@ func TestRevisedWarmAcrossObjectiveChange(t *testing.T) {
 	if !rv.LastWarm() {
 		t.Fatal("objective-only change should keep the basis warm")
 	}
-	dense, err := Solve(p, nil)
+	dense, err := denseSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertAgree(t, "objective change", sol, dense)
+	assertAgreeOptimal(t, "objective change", rv, sol, dense)
 }
 
 // reconstructColumn multiplies the factor back out: column step s of P·G·Q
@@ -330,9 +348,11 @@ func TestSparseLUReconstructsSolverCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomMasterLP(rng, 24, 40)
 	rv := NewRevised(p, nil)
-	if _, err := rv.Solve(); err != nil {
+	sol, err := rv.Solve()
+	if err != nil {
 		t.Fatal(err)
 	}
+	assertRevisedOptimal(t, rv, sol)
 	// Refactorize the final optimal basis explicitly: its core holds the
 	// structural basics the optimum stands on.
 	if !rv.refactor() {
@@ -371,7 +391,7 @@ func randomMasterLP(rng *rand.Rand, nVars, cuts int) *Problem {
 		p.SetObjectiveCoeff(j, rng.Float64()+0.1)
 		coeffs := make([]float64, nVars)
 		coeffs[j] = 1
-		p.AddConstraint(coeffs, LE, 1+rng.Float64())
+		p.addDense(coeffs, LE, 1+rng.Float64())
 	}
 	for i := 0; i < cuts; i++ {
 		coeffs := make([]float64, nVars)
@@ -380,7 +400,7 @@ func randomMasterLP(rng *rand.Rand, nVars, cuts int) *Problem {
 				coeffs[j] = rng.Float64()*2 - 0.5
 			}
 		}
-		p.AddConstraint(coeffs, LE, 0.5+rng.Float64()*2)
+		p.addDense(coeffs, LE, 0.5+rng.Float64()*2)
 	}
 	return p
 }
@@ -390,16 +410,18 @@ func randomMasterLP(rng *rand.Rand, nVars, cuts int) *Problem {
 func TestRevisedEtaChainBoundedByTrigger(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, interval := range []int{0, 1, 4, 8} {
-		opts := &Options{RefactorInterval: interval}
 		want := interval
 		if want == 0 {
 			want = etaLimit
 		}
 		for iter := 0; iter < 10; iter++ {
 			p := randomMasterLP(rng, 16, 24)
-			rv := NewRevised(p, opts)
-			if _, err := rv.Solve(); err != nil {
+			rv := NewRevised(p, nil)
+			rv.refactorInterval = interval
+			if sol, err := rv.Solve(); err != nil {
 				t.Fatalf("interval %d iter %d: %v", interval, iter, err)
+			} else {
+				assertRevisedOptimal(t, rv, sol)
 			}
 			// Append rows to force warm dual re-solves through the trigger.
 			for stage := 0; stage < 3; stage++ {
@@ -409,9 +431,11 @@ func TestRevisedEtaChainBoundedByTrigger(t *testing.T) {
 						coeffs[j] = rng.Float64()
 					}
 				}
-				rv.AddConstraint(coeffs, LE, rng.Float64())
-				if _, err := rv.Solve(); err != nil {
+				rv.p.addDense(coeffs, LE, rng.Float64())
+				if sol, err := rv.Solve(); err != nil {
 					t.Fatalf("interval %d iter %d stage %d: %v", interval, iter, stage, err)
+				} else {
+					assertRevisedOptimal(t, rv, sol)
 				}
 			}
 			if got := rv.FactorStats().MaxEtaChain; got > want {
@@ -434,14 +458,14 @@ func hilbertLP(n int) *Problem {
 		p.SetObjectiveCoeff(j, 1)
 		coeffs := make([]float64, n)
 		coeffs[j] = 1
-		p.AddConstraint(coeffs, LE, 10)
+		p.addDense(coeffs, LE, 10)
 	}
 	for i := 0; i < n; i++ {
 		coeffs := make([]float64, n)
 		for j := 0; j < n; j++ {
 			coeffs[j] = 1 / float64(i+j+1)
 		}
-		p.AddConstraint(coeffs, LE, 1)
+		p.addDense(coeffs, LE, 1)
 	}
 	return p
 }
@@ -455,7 +479,7 @@ func nearDegenerateLP(n int, eps float64) *Problem {
 		p.SetObjectiveCoeff(j, 1+float64(j)*eps)
 		coeffs := make([]float64, n)
 		coeffs[j] = 1
-		p.AddConstraint(coeffs, LE, 2)
+		p.addDense(coeffs, LE, 2)
 	}
 	base := make([]float64, n)
 	for j := range base {
@@ -464,15 +488,17 @@ func nearDegenerateLP(n int, eps float64) *Problem {
 	for i := 0; i < 2*n; i++ {
 		coeffs := append([]float64(nil), base...)
 		coeffs[i%n] += eps * float64(i+1)
-		p.AddConstraint(coeffs, LE, float64(n)/2)
+		p.addDense(coeffs, LE, float64(n)/2)
 	}
 	return p
 }
 
 // TestRevisedIllConditionedFixtures runs the numerically hostile fixture
 // family through both solvers under aggressive refactorization intervals:
-// verdicts and objectives must still agree, the eta chain must respect the
-// trigger, and the refactorization machinery must actually have run.
+// verdicts and objectives must still agree, both optima must pass
+// assertOptimal, the eta chain must respect the trigger, and the
+// refactorization machinery must actually have run. Revised has no second
+// solver to fall back on: every fixture must solve on it.
 func TestRevisedIllConditionedFixtures(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -487,16 +513,17 @@ func TestRevisedIllConditionedFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, interval := range []int{0, 2} {
 			t.Run(fx.name, func(t *testing.T) {
-				dense, err := Solve(fx.p, nil)
+				dense, err := denseSolve(fx.p, nil)
 				if err != nil {
 					t.Fatalf("dense: %v", err)
 				}
-				rv := NewRevised(fx.p, &Options{RefactorInterval: interval})
+				rv := NewRevised(fx.p, nil)
+				rv.refactorInterval = interval
 				rsol, err := rv.Solve()
 				if err != nil {
 					t.Fatalf("revised: %v", err)
 				}
-				assertAgree(t, fx.name, rsol, dense)
+				assertAgreeOptimal(t, fx.name, rv, rsol, dense)
 				st := rv.FactorStats()
 				if st.Refactors < 1 {
 					t.Fatal("no refactorizations on an ill-conditioned fixture")
@@ -535,6 +562,7 @@ func TestRevisedWarmPivotAllocs(t *testing.T) {
 			// reprices and pivots back, exercising the full FTRAN/BTRAN/eta
 			// path without appending rows.
 			flip := false
+			var last *Solution
 			allocs := testing.AllocsPerRun(50, func() {
 				flip = !flip
 				c := 2.0
@@ -551,7 +579,9 @@ func TestRevisedWarmPivotAllocs(t *testing.T) {
 				if sol.Status != Optimal || !rv.LastWarm() {
 					t.Fatalf("warm re-solve: status=%v warm=%v", sol.Status, rv.LastWarm())
 				}
+				last = sol
 			})
+			assertRevisedOptimal(t, rv, last)
 			// One Solution, one X slice, one Dual-free warm result: anything
 			// above this small constant means the pivot loop allocates.
 			if allocs > 4 {
@@ -561,12 +591,12 @@ func TestRevisedWarmPivotAllocs(t *testing.T) {
 	}
 }
 
-// TestRevisedSolveContextPreCanceled mirrors the dense solver's contract: a
-// canceled context fails fast with ErrCanceled and context.Canceled.
+// TestRevisedSolveContextPreCanceled: a canceled context fails fast with
+// ErrCanceled and context.Canceled.
 func TestRevisedSolveContextPreCanceled(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjectiveCoeff(0, 1)
-	p.AddConstraint([]float64{1, 1}, LE, 4)
+	p.addDense([]float64{1, 1}, LE, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rv := NewRevised(p, nil)
@@ -578,6 +608,7 @@ func TestRevisedSolveContextPreCanceled(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve after cancellation: sol=%+v err=%v", sol, err)
 	}
+	assertRevisedOptimal(t, rv, sol)
 }
 
 // TestRevisedCanceledSolveNeverReusesFactorizationWarm is the cancellation
@@ -596,7 +627,7 @@ func TestRevisedCanceledSolveNeverReusesFactorizationWarm(t *testing.T) {
 		for j := range coeffs {
 			coeffs[j] = rng.Float64()
 		}
-		rv.AddConstraint(coeffs, LE, rng.Float64()+0.2)
+		rv.p.addDense(coeffs, LE, rng.Float64()+0.2)
 	}
 
 	for round := 0; round < 3; round++ {
@@ -615,6 +646,7 @@ func TestRevisedCanceledSolveNeverReusesFactorizationWarm(t *testing.T) {
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("round %d: re-solve after cancel: sol=%+v err=%v", round, sol, err)
 		}
+		assertRevisedOptimal(t, rv, sol)
 		if rv.LastWarm() {
 			t.Fatalf("round %d: solve after cancellation reused the discarded basis warm", round)
 		}
@@ -629,6 +661,7 @@ func TestRevisedCanceledSolveNeverReusesFactorizationWarm(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("final warm solve: sol=%+v err=%v", sol, err)
 	}
+	assertRevisedOptimal(t, rv, sol)
 	if !rv.LastWarm() {
 		t.Fatal("the handle stopped warm-starting after cancellations")
 	}
@@ -656,11 +689,11 @@ func TestRevisedContextCancellationMidSolve(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("re-solve after racing cancel: sol=%+v err=%v", sol, err)
 	}
-	dense, err := Solve(p, nil)
+	dense, err := denseSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertAgree(t, "post-cancel", sol, dense)
+	assertAgreeOptimal(t, "post-cancel", rv, sol, dense)
 }
 
 // TestRevisedWarmStartsAfterFirstSolve pins the warm path on a
@@ -670,9 +703,9 @@ func TestRevisedContextCancellationMidSolve(t *testing.T) {
 func TestRevisedWarmStartsAfterFirstSolve(t *testing.T) {
 	p := NewProblem(3) // x0, x1, tp
 	p.SetObjectiveCoeff(2, 1)
-	p.AddConstraint([]float64{1, 0, 0}, LE, 4)
-	p.AddConstraint([]float64{0, 1, 0}, LE, 2)
-	p.AddConstraint([]float64{-1, -1, 1}, LE, 0) // tp <= x0 + x1
+	p.addDense([]float64{1, 0, 0}, LE, 4)
+	p.addDense([]float64{0, 1, 0}, LE, 2)
+	p.addDense([]float64{-1, -1, 1}, LE, 0) // tp <= x0 + x1
 
 	rv := NewRevised(p, nil)
 	sol, err := rv.Solve()
@@ -682,11 +715,12 @@ func TestRevisedWarmStartsAfterFirstSolve(t *testing.T) {
 	if sol.Status != Optimal || math.Abs(sol.Objective-6) > 1e-9 {
 		t.Fatalf("first solve: %+v", sol)
 	}
+	assertRevisedOptimal(t, rv, sol)
 	if rv.LastWarm() {
 		t.Fatal("first solve claims to be warm")
 	}
 
-	rv.AddConstraint([]float64{0, 0, 1}, LE, 100)
+	rv.p.addDense([]float64{0, 0, 1}, LE, 100)
 	sol, err = rv.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -697,8 +731,9 @@ func TestRevisedWarmStartsAfterFirstSolve(t *testing.T) {
 	if math.Abs(sol.Objective-6) > 1e-9 {
 		t.Fatalf("objective moved to %v", sol.Objective)
 	}
+	assertRevisedOptimal(t, rv, sol)
 
-	rv.AddConstraint([]float64{0, 0, 1}, LE, 5)
+	rv.p.addDense([]float64{0, 0, 1}, LE, 5)
 	sol, err = rv.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -709,6 +744,7 @@ func TestRevisedWarmStartsAfterFirstSolve(t *testing.T) {
 	if math.Abs(sol.Objective-5) > 1e-9 {
 		t.Fatalf("objective = %v, want 5", sol.Objective)
 	}
+	assertRevisedOptimal(t, rv, sol)
 	if st := rv.Stats(); st.ColdSolves != 1 || st.WarmSolves != 2 {
 		t.Fatalf("stats = %+v, want 1 cold / 2 warm", st)
 	}
@@ -720,14 +756,14 @@ func TestRevisedWarmStartsAfterFirstSolve(t *testing.T) {
 func TestRevisedGEAndEQRowsWarm(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective([]float64{1, 1})
-	p.AddConstraint([]float64{1, 0}, LE, 3)
-	p.AddConstraint([]float64{0, 1}, LE, 4)
+	p.addDense([]float64{1, 0}, LE, 3)
+	p.addDense([]float64{0, 1}, LE, 4)
 	rv := NewRevised(p, nil)
 	if _, err := rv.Solve(); err != nil {
 		t.Fatal(err)
 	}
 
-	rv.AddConstraint([]float64{1, 1}, GE, 2) // slack at the optimum
+	rv.p.addDense([]float64{1, 1}, GE, 2) // slack at the optimum
 	sol, err := rv.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -735,8 +771,9 @@ func TestRevisedGEAndEQRowsWarm(t *testing.T) {
 	if !rv.LastWarm() || sol.Status != Optimal || math.Abs(sol.Objective-7) > 1e-9 {
 		t.Fatalf("after GE: warm=%v %+v", rv.LastWarm(), sol)
 	}
+	assertRevisedOptimal(t, rv, sol)
 
-	rv.AddSparseConstraint([]Term{{Var: 0, Coeff: 1}}, EQ, 1) // binds x to 1
+	rv.p.AddSparseConstraint([]Term{{Var: 0, Coeff: 1}}, EQ, 1) // binds x to 1
 	sol, err = rv.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -747,11 +784,11 @@ func TestRevisedGEAndEQRowsWarm(t *testing.T) {
 	if math.Abs(sol.X[0]-1) > 1e-9 {
 		t.Fatalf("x = %v, want 1", sol.X[0])
 	}
-	dense, err := Solve(p, nil)
+	dense, err := denseSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertAgree(t, "GE and EQ rows", sol, dense)
+	assertAgreeOptimal(t, "GE and EQ rows", rv, sol, dense)
 }
 
 // TestRevisedDetectsInfeasibleCut: an appended row no point satisfies ends
@@ -760,13 +797,13 @@ func TestRevisedGEAndEQRowsWarm(t *testing.T) {
 func TestRevisedDetectsInfeasibleCut(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective([]float64{1, 1})
-	p.AddConstraint([]float64{1, 0}, LE, 3)
-	p.AddConstraint([]float64{0, 1}, LE, 4)
+	p.addDense([]float64{1, 0}, LE, 3)
+	p.addDense([]float64{0, 1}, LE, 4)
 	rv := NewRevised(p, nil)
 	if _, err := rv.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	rv.AddConstraint([]float64{1, 1}, LE, -1) // unsatisfiable for x, y >= 0
+	rv.p.addDense([]float64{1, 1}, LE, -1) // unsatisfiable for x, y >= 0
 	sol, err := rv.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -785,12 +822,12 @@ func TestRevisedDetectsInfeasibleCut(t *testing.T) {
 func TestRevisedPicksUpDirectProblemGrowth(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective([]float64{1})
-	p.AddConstraint([]float64{1}, LE, 10)
+	p.addDense([]float64{1}, LE, 10)
 	rv := NewRevised(p, nil)
 	if _, err := rv.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	p.AddConstraint([]float64{1}, LE, 4)
+	p.addDense([]float64{1}, LE, 4)
 	sol, err := rv.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -798,6 +835,7 @@ func TestRevisedPicksUpDirectProblemGrowth(t *testing.T) {
 	if !rv.LastWarm() || sol.Status != Optimal || math.Abs(sol.Objective-4) > 1e-9 {
 		t.Fatalf("direct growth ignored: warm=%v %+v", rv.LastWarm(), sol)
 	}
+	assertRevisedOptimal(t, rv, sol)
 }
 
 func TestRevisedNilProblem(t *testing.T) {

@@ -2,13 +2,144 @@ package lp
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 )
 
-// pollCtx reports whether the context is done. It is called from the pivot
-// loops every cancelCheckInterval pivots; a nil context never cancels.
-func pollCtx(ctx context.Context) bool {
-	return ctx != nil && ctx.Err() != nil
+// This file holds the package's in-package reference solver: the two-phase
+// primal simplex on a dense tableau (Dantzig pricing, Bland anti-cycling
+// fallback). It is test code only — Revised is the solver — and the tests
+// compare Revised against it. Every pivot touches the whole tableau, which
+// caps it at small problems. The point it ends on is checked against the
+// problem's own constraints (1e-6 relative) before it is reported: on
+// massively degenerate problems the dense ratio test can pivot on round-off
+// and end "optimal" outside the feasible region, which surfaces as
+// errNotCertified, never as a Solution.
+
+// errNotCertified is returned by the dense solver when the point its final
+// tableau describes violates the problem's own constraints.
+var errNotCertified = errors.New("lp: dense simplex ended on a point that violates its constraints")
+
+// denseSolve solves the problem with the two-phase primal simplex method on
+// a dense tableau.
+func denseSolve(p *Problem, opts *Options) (*Solution, error) {
+	return denseSolveContext(context.Background(), p, opts)
+}
+
+// denseSolveContext is denseSolve with cooperative cancellation: the pivot
+// loops check ctx every cancelCheckInterval pivots and abandon the solve with
+// an error wrapping ErrCanceled once the context is done. A nil ctx is
+// treated as context.Background().
+func denseSolveContext(ctx context.Context, p *Problem, opts *Options) (*Solution, error) {
+	if p == nil || p.numVars == 0 {
+		return nil, ErrBadProblem
+	}
+	tol := 1e-9
+	if opts != nil && opts.Tolerance > 0 {
+		tol = opts.Tolerance
+	}
+
+	m := len(p.constraints)
+	if m == 0 {
+		// No constraints: optimum is 0 if all objective coefficients are
+		// non-positive, unbounded otherwise.
+		for _, c := range p.objective {
+			if c > tol {
+				return &Solution{Status: Unbounded, X: make([]float64, p.numVars), Phase: 2}, nil
+			}
+		}
+		return &Solution{Status: Optimal, Objective: 0, X: make([]float64, p.numVars), Phase: 2, Feasible: true, Dual: []float64{}}, nil
+	}
+
+	t := newTableau(p, tol)
+	maxIter := 50 * (t.rows + t.cols)
+	if opts != nil && opts.MaxIterations > 0 {
+		maxIter = opts.MaxIterations
+	}
+
+	sol := &Solution{X: make([]float64, p.numVars)}
+
+	// Phase 1: drive artificial variables to zero, if any are needed.
+	if t.numArtificial > 0 {
+		sol.Phase = 1
+		phase1 := make([]float64, t.cols)
+		for _, j := range t.artificialCols {
+			phase1[j] = -1
+		}
+		t.setCostRow(phase1)
+		status := t.iterate(ctx, maxIter, &sol.Iterations, false)
+		if status == Canceled {
+			return nil, canceledErr(ctx)
+		}
+		if status == IterationLimit {
+			// No feasible basis was reached: X stays all-zero and is NOT a
+			// feasible point.
+			sol.Status = IterationLimit
+			return sol, nil
+		}
+		// The phase-1 optimum is -(sum of artificials); a strictly negative
+		// value means some artificial variable cannot be driven to zero.
+		if t.objectiveValue() < -1e-7 {
+			sol.Status = Infeasible
+			return sol, nil
+		}
+		t.forbidArtificials()
+	}
+
+	// Phase 2: optimize the real objective.
+	sol.Phase = 2
+	phase2 := make([]float64, t.cols)
+	copy(phase2, p.objective)
+	t.setCostRow(phase2)
+	status := t.iterate(ctx, maxIter, &sol.Iterations, true)
+	if status == Canceled {
+		return nil, canceledErr(ctx)
+	}
+	sol.Status = status
+	if status == Unbounded {
+		return sol, nil
+	}
+	// Optimal or phase-2 iteration limit: primal pivots keep the basis
+	// feasible in exact arithmetic, so X should be a usable point — which is
+	// checked against the problem, not taken from the tableau's word.
+	t.extract(sol.X)
+	if err := p.certify(sol.X); err != nil {
+		return nil, err
+	}
+	sol.Objective = dot(p.objective, sol.X)
+	sol.Feasible = true
+	if status == Optimal {
+		sol.Dual = t.duals()
+	}
+	return sol, nil
+}
+
+// certifyTol is the relative tolerance of certify.
+const certifyTol = 1e-6
+
+// certify checks x against the problem as given — x >= 0 and every constraint
+// row — to certifyTol relative to the magnitude of the row's terms, and
+// reports the first violation as an error wrapping errNotCertified.
+func (p *Problem) certify(x []float64) error {
+	for j, v := range x {
+		if v < -certifyTol {
+			return fmt.Errorf("%w: x[%d] = %g", errNotCertified, j, v)
+		}
+	}
+	for i, c := range p.constraints {
+		var lhs, scale float64
+		for _, t := range c.terms {
+			lhs += t.Coeff * x[t.Var]
+			scale += math.Abs(t.Coeff * x[t.Var])
+		}
+		slack := c.rhs - lhs // >= 0 satisfies LE, <= 0 satisfies GE
+		tol := certifyTol * math.Max(1, math.Max(math.Abs(c.rhs), scale))
+		if (c.rel != GE && slack < -tol) || (c.rel != LE && slack > tol) {
+			return fmt.Errorf("%w: constraint %d: %g %v %g", errNotCertified, i, lhs, c.rel, c.rhs)
+		}
+	}
+	return nil
 }
 
 // tableau is the dense simplex tableau. Columns are laid out as
@@ -97,8 +228,8 @@ func newTableau(p *Problem, tol float64) *tableau {
 			rhs = -rhs
 			rel = flip(rel)
 		}
-		for j, v := range c.coeffs {
-			row[j] = sign * v
+		for _, t := range c.terms {
+			row[t.Var] = sign * t.Coeff
 		}
 		switch rel {
 		case LE:
@@ -127,17 +258,6 @@ func newTableau(p *Problem, tol float64) *tableau {
 	}
 	t.numArtificial = numArtificial
 	return t
-}
-
-func flip(r Relation) Relation {
-	switch r {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	default:
-		return EQ
-	}
 }
 
 // setCostRow installs a new objective (given over all structural columns;

@@ -40,10 +40,11 @@ func DecomposeAgainstOracle(p *platform.Platform, source int, sol *steady.Soluti
 }
 
 // refSolveMaster is the restricted master as this package solved it before
-// the warm dual master, kept verbatim as the differential oracle: the primal
-// — maximize the total weight of the current trees subject to the summed
+// the warm dual master, kept as the differential oracle: the primal —
+// maximize the total weight of the current trees subject to the summed
 // per-edge weights staying within the support capacities — rebuilt from
-// scratch and cold-solved on the dense tableau. It returns the LP solution
+// scratch and solved cold on a fresh lp.Revised handle, independent of the
+// warm dual column generation it checks. It returns the LP solution
 // (for its duals) plus the per-tree weights.
 func refSolveMaster(trees []*platform.Tree, support []graph.Edge, caps []float64) (*lp.Solution, []float64, error) {
 	prob := lp.NewProblem(len(trees))
@@ -68,7 +69,7 @@ func refSolveMaster(trees []*platform.Tree, support []graph.Edge, caps []float64
 	for i := range support {
 		prob.AddSparseConstraint(terms[i], lp.LE, caps[i])
 	}
-	sol, err := lp.Solve(prob, nil)
+	sol, err := lp.NewRevised(prob, nil).Solve()
 	if err != nil {
 		return nil, nil, fmt.Errorf("pack: master solve: %w", err)
 	}

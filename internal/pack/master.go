@@ -22,6 +22,7 @@ import (
 // the optimal value is the master's, and the tree weights are the row
 // multipliers (read once, at the end).
 type master struct {
+	prob   *lp.Problem
 	rv     *lp.Revised
 	trees  []*platform.Tree
 	varOf  []int // platform link ID -> y variable (support index), -1 outside the support
@@ -40,7 +41,7 @@ func newMaster(support []graph.Edge, rate []float64, numLinks int) *master {
 		m.varOf[e.ID] = i
 		prob.SetObjectiveCoeff(i, -rate[e.ID]) // the LP layer maximizes
 	}
-	m.rv = lp.NewRevised(prob, nil)
+	m.prob, m.rv = prob, lp.NewRevised(prob, nil)
 	return m
 }
 
@@ -60,7 +61,7 @@ func (m *master) add(t *platform.Tree) bool {
 		return false
 	}
 	m.seen[string(m.keyBuf)] = true
-	m.rv.AddSparseConstraint(m.terms, lp.GE, 1)
+	m.prob.AddSparseConstraint(m.terms, lp.GE, 1)
 	m.trees = append(m.trees, t)
 	return true
 }

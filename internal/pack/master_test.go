@@ -53,7 +53,7 @@ func TestWarmMasterRoundAllocations(t *testing.T) {
 		round()
 	}
 	allocs := testing.AllocsPerRun(measured, round)
-	// Six are the round's own — the tree key, the dense row, Solution and X,
+	// Six are the round's own — the tree key, the sparse row, Solution and X,
 	// the duals, the weights; the rest is amortized growth of the handle's
 	// sparse columns and arenas (17 in all when this was written).
 	if allocs > 24 {

@@ -380,8 +380,8 @@ func TestNotPackedNamesItsExit(t *testing.T) {
 
 // TestMasterMatchesDenseOracle is the differential tier of the warm dual
 // master: after every column-generation round the restricted master is
-// re-solved, on the same tree set, the way this package solved it before —
-// the primal rebuilt from scratch and cold-solved on the dense tableau — and
+// re-solved, on the same tree set, as the primal over all its trees rebuilt
+// from scratch and solved cold on a fresh lp.Revised handle — and
 // the two values must agree within 1e-7·max(1, TP); the finished packing must
 // validate and sit within 1e-6 of the LP optimum. Registry-wide at the
 // default sizes, then on the benchmark's pack-ktree cells (skipped with
@@ -396,7 +396,7 @@ func TestMasterMatchesDenseOracle(t *testing.T) {
 			if diff := math.Abs(value - oracle); diff > worst {
 				worst = diff
 				if diff > bar {
-					t.Errorf("%s round %d: dual master %v, dense oracle %v (diff %v > %v)", name, round, value, oracle, diff, bar)
+					t.Errorf("%s round %d: dual master %v, primal oracle %v (diff %v > %v)", name, round, value, oracle, diff, bar)
 				}
 			}
 		})
@@ -431,7 +431,7 @@ func TestMasterMatchesDenseOracle(t *testing.T) {
 	}
 	t.Run("pack-ktree", func(t *testing.T) {
 		if testing.Short() {
-			t.Skip("dense oracle on every round of the benchmark cells")
+			t.Skip("primal oracle on every round of the benchmark cells")
 		}
 		for _, c := range packKtreeCells {
 			c := c

@@ -1,13 +1,10 @@
 package steady_test
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
-	"repro/internal/lp"
 	"repro/internal/platform"
 	"repro/internal/scenarios"
 	"repro/internal/steady"
@@ -86,49 +83,5 @@ func TestSolveDirectOnMutatedPlatforms(t *testing.T) {
 		if _, _, err := steady.Certify(p, 0, direct); err != nil {
 			t.Errorf("%v: %v", d, err)
 		}
-	}
-}
-
-// TestDenseSolveNeverReportsViolatingPointOnGrid16 is the regression test of
-// the dense oracle's fence on the same six instances: lp.Solve used to end
-// "optimal" on every one of these LP (2) problems with a point that violates
-// its own rows. Whatever it reports now must hold up against the model — the
-// rates carry the throughput and respect the one-port occupations — and what
-// it cannot stand behind must come back as lp.ErrNotCertified. The dense simplex needs 2 to 7 s per
-// instance to get there, and twenty times that under the race detector, so
-// the test runs behind BCAST_LARGE=1 (it has its own CI step); the fence's
-// accept/reject rule itself is pinned on every run by lp's
-// TestCertifyRejectsViolatingPoints.
-func TestDenseSolveNeverReportsViolatingPointOnGrid16(t *testing.T) {
-	if os.Getenv("BCAST_LARGE") == "" {
-		t.Skip("set BCAST_LARGE=1: 34 CPU-seconds of dense pivoting")
-	}
-	grid, err := scenarios.Get(scenarios.NameGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		i := i
-		t.Run(fmt.Sprintf("instance-%d", i), func(t *testing.T) {
-			t.Parallel()
-			p, err := grid.Generate(16, topology.DeriveSeed(7, "bench/grid:16", i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			problem, read := steady.DirectProblem(p, 0)
-			dense, err := lp.Solve(problem, nil)
-			if err != nil {
-				if !errors.Is(err, lp.ErrNotCertified) {
-					t.Fatalf("dense solve: %v, want a solution or lp.ErrNotCertified", err)
-				}
-				return
-			}
-			if !dense.Feasible {
-				return
-			}
-			if _, _, err := steady.Certify(p, 0, read(dense)); err != nil {
-				t.Errorf("dense solve reported status %v on a point that violates LP (2): %v", dense.Status, err)
-			}
-		})
 	}
 }
