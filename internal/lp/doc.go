@@ -39,7 +39,7 @@
 // j is made cheaper by a distinct δ_j in [1e-6, 2e-6), a fixed hash of j —
 // no random source, the same pivots on every run — so every step has
 // positive length and the dual objective falls strictly. The shift is dropped
-// when the dual phase ends; the primal polish, the residual certificate and
+// when the dual phase ends; the primal polish, the certificate and
 // Duals all run on the costs as given, so the optimum is exact, not
 // approximate. A warm attempt that fails all the same (its pivot budget, a
 // singular refactorization) costs one cold solve, and the next solve tries

@@ -203,8 +203,9 @@ type Options struct {
 var ErrBadProblem = errors.New("lp: invalid problem")
 
 // ErrNumerical is returned when a cold solve fails numerically — a basis
-// whose refactorization is singular, or an optimal basis whose residual
-// ‖b − B·x_B‖ the certificate rejects. No Solution is reported with it.
+// whose refactorization is singular, or an optimal basis the certificate
+// rejects: a residual ‖b − B·x_B‖ or a negative basic value past its bound.
+// No Solution is reported with it.
 var ErrNumerical = errors.New("lp: simplex failed numerically")
 
 // ErrCanceled is returned when a solve context is canceled before the

@@ -24,8 +24,8 @@ import (
 // column, the classic symptom of a stale eta chain). Refactorization also
 // recomputes the basic values x_B = B⁻¹b directly from the problem data,
 // so roundoff cannot accumulate across pivots; every Optimal verdict is
-// additionally certified against the original columns (‖b − B·x_B‖ bounded)
-// before it is returned.
+// additionally certified against the original columns (‖b − B·x_B‖ bounded,
+// x_B ≥ 0 up to a tolerance) before it is returned.
 //
 // Appended rows are stored sparsely and priced into the warm basis as LE rows
 // with a basic slack (GE rows negated, EQ rows split into a signed pair):
@@ -774,10 +774,12 @@ func (rv *Revised) chooseLeaving(w []float64) int {
 // refactorization and a recomputed column, since a stale eta chain is the
 // usual cause. On a fresh factorization there is no chain left to blame: the
 // small pivot belongs to the problem itself — nearly parallel rows, or a
-// basic value a tied ratio test left a hair below zero — and it is committed,
-// as a dense tableau would. The certificate every Optimal verdict passes
-// (certify) is what stands behind the point such a pivot leads to.
-func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detectUnbounded bool) Status {
+// basic value a tied ratio test left a hair below zero. A warm solve
+// (commitUnstable false) stops there with statusNumerical, and the caller
+// re-solves cold. A cold solve has no other remedy, so it commits the pivot,
+// as a dense tableau would; the basis it leads to must still pass certify —
+// the residual and primal feasibility of x_B — before it is reported Optimal.
+func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detectUnbounded, commitUnstable bool) Status {
 	stallLimit := 4 * (rv.m + 16)
 	lastObjective := rv.objValue()
 	stalled := 0
@@ -823,6 +825,9 @@ func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detec
 			rv.colDense(enter, rv.colScratch[:rv.m])
 			rv.ftran(rv.colScratch[:rv.m], w)
 			leave = rv.chooseLeaving(w)
+		}
+		if leave >= 0 && !commitUnstable && !stable(w, leave) {
+			return statusNumerical
 		}
 		if leave < 0 {
 			if detectUnbounded {
@@ -1067,7 +1072,10 @@ func (rv *Revised) banArtificials() bool {
 }
 
 // certify verifies the Optimal verdict against the original column data:
-// the residual ‖b − B·x_B‖∞ must stay within tolerance of the row scale.
+// the residual ‖b − B·x_B‖∞ must stay within 1e-7 of the row scale
+// max(1, ‖b‖∞), and no basic value may lie below zero by more than 1e-6 of
+// it — the bar the dense reference holds its points to — since a negative
+// basic slack is a violated row and a negative basic structural an x < 0.
 // A stale eta chain gets one refactorization (which recomputes x_B) before
 // the verdict is rejected.
 func (rv *Revised) certify() bool {
@@ -1107,7 +1115,14 @@ func (rv *Revised) certify() bool {
 				worst = r
 			}
 		}
-		if worst <= 1e-7*scale {
+		feasible := true
+		for _, v := range rv.xB[:rv.m] {
+			if v < -1e-6*scale {
+				feasible = false
+				break
+			}
+		}
+		if feasible && worst <= 1e-7*scale {
 			return true
 		}
 		if attempt > 0 || rv.etas.count() == 0 || !rv.refactor() {
@@ -1195,7 +1210,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	counter := 0
 	if rv.numArt > 0 {
 		sol.Phase = 1
-		st := rv.iterate(ctx, maxIter, &counter, false)
+		st := rv.iterate(ctx, maxIter, &counter, false, true)
 		sol.Iterations = counter
 		switch {
 		case st == Canceled:
@@ -1219,7 +1234,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	sol.Phase = 2
 	rv.phase1 = false
 	rv.resetCosts()
-	st := rv.iterate(ctx, maxIter, &counter, true)
+	st := rv.iterate(ctx, maxIter, &counter, true, true)
 	sol.Iterations = counter
 	switch {
 	case st == Canceled:
@@ -1233,7 +1248,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 		return sol, nil
 	}
 	if st == Optimal && !rv.certify() {
-		return nil, numericalErr("optimal basis failed its residual certificate")
+		return nil, numericalErr("optimal basis failed its certificate")
 	}
 	rv.extract(sol.X)
 	sol.Objective = dot(rv.p.objective, sol.X)
@@ -1309,7 +1324,7 @@ func (rv *Revised) warmSolve(ctx context.Context) *Solution {
 		st = rv.dualIterate(ctx, maxIter, &counter)
 	}
 	if st == Optimal {
-		st = rv.iterate(ctx, maxIter, &counter, true)
+		st = rv.iterate(ctx, maxIter, &counter, true, false)
 	}
 	sol.Iterations = counter
 	if st == statusNumerical {

@@ -816,6 +816,84 @@ func TestRevisedDetectsInfeasibleCut(t *testing.T) {
 	}
 }
 
+// negativeSlackOptions is a pivoting tolerance (0.5) large enough that the
+// ratio test skips the 0.3 entry of the row 0.3·x <= 0.1: raising x to 1
+// leaves that row's basic slack at −0.2, a violated row whose residual
+// ‖b − B·x_B‖ is exact — only the certificate's x_B bound sees it.
+var negativeSlackOptions = &Options{Tolerance: 0.5}
+
+// TestRevisedColdNeverReportsInfeasibleBasis: a cold solve whose optimal
+// basis holds a basic value below zero past the certificate's bound fails
+// with ErrNumerical and reports no Solution — never Optimal with a point
+// that violates a row.
+func TestRevisedColdNeverReportsInfeasibleBasis(t *testing.T) {
+	p := NewProblem(1)
+	p.SetObjective([]float64{1})
+	p.addDense([]float64{1}, LE, 1)
+	p.addDense([]float64{0.3}, LE, 0.1)
+	sol, err := NewRevised(p, negativeSlackOptions).Solve()
+	if !errors.Is(err, ErrNumerical) {
+		t.Fatalf("err = %v, want ErrNumerical", err)
+	}
+	if sol != nil {
+		t.Fatalf("numerical failure reported a solution: %+v", sol)
+	}
+}
+
+// TestRevisedWarmInfeasibleBasisCostsOneColdSolve: the same basis reached by
+// a warm re-solve is a warm failure — the warm attempt is spent, one cold
+// solve follows, and its ErrNumerical is the result.
+func TestRevisedWarmInfeasibleBasisCostsOneColdSolve(t *testing.T) {
+	p := NewProblem(1)
+	p.SetObjective([]float64{1})
+	p.addDense([]float64{1}, LE, 1)
+	rv := NewRevised(p, negativeSlackOptions)
+	sol, err := rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRevisedOptimal(t, rv, sol)
+	p.addDense([]float64{0.3}, LE, 0.1)
+	sol, err = rv.Solve()
+	if !errors.Is(err, ErrNumerical) || sol != nil {
+		t.Fatalf("warm re-solve: sol = %+v, err = %v, want ErrNumerical", sol, err)
+	}
+	if st := rv.Stats(); st.WarmSolves != 1 || st.ColdSolves != 1 {
+		t.Fatalf("stats = %+v, want 1 warm attempt and only the first cold solve", st)
+	}
+}
+
+// TestRevisedWarmUnstablePivotCostsOneColdSolve: the near-degenerate-1e-9
+// fixture needs a primal pivot still unstable on a fresh factorization. A
+// cold solve commits it; a warm one does not — it fails and costs exactly
+// one cold solve, which then reaches the optimum. The warm attempt starts
+// from the slack basis of a zero-objective solve, so it meets that pivot.
+func TestRevisedWarmUnstablePivotCostsOneColdSolve(t *testing.T) {
+	p := nearDegenerateLP(8, 1e-9)
+	obj := append([]float64(nil), p.objective...)
+	p.SetObjective(make([]float64, len(obj)))
+	rv := NewRevised(p, nil)
+	if sol, err := rv.Solve(); err != nil || sol.Status != Optimal || sol.Iterations != 0 {
+		t.Fatalf("zero objective: sol = %+v, err = %v", sol, err)
+	}
+	p.SetObjective(obj)
+	sol, err := rv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rv.LastWarm() {
+		t.Fatal("warm attempt committed an unstable pivot")
+	}
+	if st := rv.Stats(); st.WarmSolves != 1 || st.ColdSolves != 2 {
+		t.Fatalf("stats = %+v, want 1 warm attempt and 2 cold solves", st)
+	}
+	dense, err := denseSolve(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAgreeOptimal(t, "near-degenerate-1e-9 after a warm failure", rv, sol, dense)
+}
+
 // TestRevisedPicksUpDirectProblemGrowth: rows added directly on the
 // underlying Problem (not via the handle) are picked up by the next Solve —
 // package steady grows its master this way.

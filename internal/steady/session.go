@@ -460,7 +460,7 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 				s.dropMaster()
 				return nil, fmt.Errorf("steady: resolve canceled: %w", err)
 			}
-			return nil, fmt.Errorf("%w: %v", ErrLPFailed, err)
+			return nil, fmt.Errorf("%w: %w", ErrLPFailed, err)
 		}
 		switch {
 		case lpSol.Status == lp.Optimal:

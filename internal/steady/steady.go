@@ -161,7 +161,7 @@ func SolveDirect(p *platform.Platform, source int, opts *Options) (*Solution, er
 	problem, read := directProblem(p, source)
 	lpSol, err := lp.NewRevised(problem, opts.lpOptions()).Solve()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrLPFailed, err)
+		return nil, fmt.Errorf("%w: %w", ErrLPFailed, err)
 	}
 	if lpSol.Status != lp.Optimal {
 		return nil, fmt.Errorf("%w: status %v", ErrLPFailed, lpSol.Status)
