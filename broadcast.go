@@ -98,8 +98,8 @@ type RoutingBuilder = heuristics.RoutingBuilder
 // warm/cold simplex pivots and the final master upper bound).
 type OptimalSolution = steady.Solution
 
-// OptimalOptions tunes the steady-state MTP solver: cutting-plane round and
-// pivot budgets and termination tolerances.
+// OptimalOptions tunes the steady-state MTP solver: the simplex pivot budget
+// of each master LP solve.
 type OptimalOptions = steady.Options
 
 // Tree-packing types: the primal decomposition of the optimal edge rates
@@ -112,8 +112,7 @@ type (
 	// PackedTree is one tree of a packing together with its steady-state
 	// weight (messages per time unit routed along that tree).
 	PackedTree = steady.PackedTree
-	// PackOptions tunes the decomposition: the tree-count cap and the
-	// relative throughput tolerance.
+	// PackOptions tunes the decomposition: the tree-count cap.
 	PackOptions = pack.Options
 )
 

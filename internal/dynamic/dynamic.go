@@ -32,8 +32,6 @@ type Config struct {
 	// Model is the port model under which trees are evaluated (default
 	// one-port bidirectional, as in the paper).
 	Model model.PortModel
-	// Steady tunes the steady-state re-solver (nil = defaults).
-	Steady *steady.Options
 	// ColdResolve replaces the incremental steady session with a fresh
 	// cold solve at every event: the differential-testing oracle and the
 	// baseline of BenchmarkChurnResolve.
@@ -196,10 +194,10 @@ func Run(base *platform.Platform, source int, trace *Trace, cfg Config) (*Report
 		return nil, err
 	}
 
-	session := steady.NewSession(p, source, cfg.Steady)
+	session := steady.NewSession(p, source, nil)
 	resolve := func() (*steady.Solution, bool, error) {
 		if cfg.ColdResolve {
-			sol, err := steady.Solve(p, source, cfg.Steady)
+			sol, err := steady.Solve(p, source, nil)
 			return sol, false, err
 		}
 		before := session.Stats().WarmResolves

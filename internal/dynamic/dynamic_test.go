@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/platform"
-	"repro/internal/steady"
 	"repro/internal/topology"
 )
 
@@ -116,7 +115,6 @@ func TestRunPolicyProperties(t *testing.T) {
 	shadow := p.Clone()
 	idx := 0
 	cfg := Config{
-		Steady: &steady.Options{GapTolerance: 1e-9},
 		OnEvent: func(ev EventOutcome, trees PolicyTrees) {
 			if _, err := shadow.ApplyDelta(tr.Events[idx].Delta); err != nil {
 				t.Fatalf("event %d: %v", idx, err)
@@ -228,12 +226,11 @@ func TestRunWarmMatchesColdResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := &steady.Options{GapTolerance: 1e-9}
-	warm, err := Run(p, 0, tr, Config{Steady: opts})
+	warm, err := Run(p, 0, tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(p, 0, tr, Config{Steady: opts, ColdResolve: true})
+	cold, err := Run(p, 0, tr, Config{ColdResolve: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,10 +194,11 @@ type Options struct {
 	// MaxIterations bounds the total number of pivots (default: 50 times
 	// the number of rows plus columns).
 	MaxIterations int
-	// Tolerance is the numerical tolerance used for pivoting and
-	// feasibility tests (default 1e-9).
-	Tolerance float64
 }
+
+// simplexTol is the numerical tolerance of the simplex pivoting and
+// feasibility tests.
+const simplexTol = 1e-9
 
 // ErrBadProblem is returned for structurally invalid problems.
 var ErrBadProblem = errors.New("lp: invalid problem")

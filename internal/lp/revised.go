@@ -44,7 +44,9 @@ import (
 type Revised struct {
 	p    *Problem
 	opts *Options
-	tol  float64
+	// tol is the pivoting and feasibility tolerance: simplexTol, which the
+	// package's tests override per handle to reach rejected bases.
+	tol float64
 
 	// Normalized matrix state. Structural columns are stored sparsely;
 	// logical columns (slack/surplus/artificial) are implicit signed unit
@@ -147,11 +149,7 @@ const statusNumerical Status = -1
 // NewRevised returns a revised-simplex handle over the problem. The problem
 // may already contain constraints; nothing is solved until Solve is called.
 func NewRevised(p *Problem, opts *Options) *Revised {
-	tol := 1e-9
-	if opts != nil && opts.Tolerance > 0 {
-		tol = opts.Tolerance
-	}
-	return &Revised{p: p, opts: opts, tol: tol, synced: -1}
+	return &Revised{p: p, opts: opts, tol: simplexTol, synced: -1}
 }
 
 // Stats returns the cumulative warm/cold solve and pivot counters.
@@ -243,7 +241,7 @@ func (rv *Revised) etaTrigger() int {
 	return etaLimit
 }
 
-func (rv *Revised) maxIterations() int {
+func (rv *Revised) pivotLimit() int {
 	if rv.opts != nil && rv.opts.MaxIterations > 0 {
 		return rv.opts.MaxIterations
 	}
@@ -779,7 +777,7 @@ func (rv *Revised) chooseLeaving(w []float64) int {
 // re-solves cold. A cold solve has no other remedy, so it commits the pivot,
 // as a dense tableau would; the basis it leads to must still pass certify —
 // the residual and primal feasibility of x_B — before it is reported Optimal.
-func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detectUnbounded, commitUnstable bool) Status {
+func (rv *Revised) iterate(ctx context.Context, limit int, counter *int, detectUnbounded, commitUnstable bool) Status {
 	stallLimit := 4 * (rv.m + 16)
 	lastObjective := rv.objValue()
 	stalled := 0
@@ -809,7 +807,7 @@ func (rv *Revised) iterate(ctx context.Context, maxIter int, counter *int, detec
 		// Optimality is checked before the budget so that a basis that is
 		// already optimal when the last pivot exhausted the allowance is
 		// reported Optimal, not IterationLimit.
-		if *counter >= maxIter {
+		if *counter >= limit {
 			return IterationLimit
 		}
 		w := rv.wScratch[:rv.m]
@@ -893,7 +891,7 @@ func (rv *Revised) unperturb() {
 // perturbed costs (perturb); whatever its verdict, the perturbation is gone
 // when it returns, and the caller's primal polish removes any dual
 // infeasibility the true costs have at the basis it ends on.
-func (rv *Revised) dualIterate(ctx context.Context, maxIter int, counter *int) Status {
+func (rv *Revised) dualIterate(ctx context.Context, limit int, counter *int) Status {
 	stallLimit := 4 * (rv.m + 16)
 	stalled := 0
 	useBland := false
@@ -930,7 +928,7 @@ func (rv *Revised) dualIterate(ctx context.Context, maxIter int, counter *int) S
 		if leave < 0 {
 			return Optimal
 		}
-		if *counter >= maxIter {
+		if *counter >= limit {
 			return IterationLimit
 		}
 		rho := rv.rhoScratch[:rv.m]
@@ -1205,12 +1203,12 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	if !rv.refactor() {
 		return nil, numericalErr("singular slack basis")
 	}
-	maxIter := rv.maxIterations()
+	limit := rv.pivotLimit()
 	sol := &Solution{X: make([]float64, rv.p.numVars)}
 	counter := 0
 	if rv.numArt > 0 {
 		sol.Phase = 1
-		st := rv.iterate(ctx, maxIter, &counter, false, true)
+		st := rv.iterate(ctx, limit, &counter, false, true)
 		sol.Iterations = counter
 		switch {
 		case st == Canceled:
@@ -1234,7 +1232,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	sol.Phase = 2
 	rv.phase1 = false
 	rv.resetCosts()
-	st := rv.iterate(ctx, maxIter, &counter, true, true)
+	st := rv.iterate(ctx, limit, &counter, true, true)
 	sol.Iterations = counter
 	switch {
 	case st == Canceled:
@@ -1312,19 +1310,19 @@ func (rv *Revised) warmSolve(ctx context.Context) *Solution {
 		rv.status = IterationLimit
 		return sol
 	}
-	maxIter := rv.maxIterations()
-	if budget := 2*rv.m + 32*appended + 128; budget < maxIter && !objChanged {
+	limit := rv.pivotLimit()
+	if budget := 2*rv.m + 32*appended + 128; budget < limit && !objChanged {
 		// A healthy warm re-solve needs a handful of pivots per appended
 		// row; a stalling one should bail to the cold fallback early.
-		maxIter = budget
+		limit = budget
 	}
 	counter := 0
 	st := Optimal
 	if appended > 0 {
-		st = rv.dualIterate(ctx, maxIter, &counter)
+		st = rv.dualIterate(ctx, limit, &counter)
 	}
 	if st == Optimal {
-		st = rv.iterate(ctx, maxIter, &counter, true, false)
+		st = rv.iterate(ctx, limit, &counter, true, false)
 	}
 	sol.Iterations = counter
 	if st == statusNumerical {

@@ -816,11 +816,15 @@ func TestRevisedDetectsInfeasibleCut(t *testing.T) {
 	}
 }
 
-// negativeSlackOptions is a pivoting tolerance (0.5) large enough that the
-// ratio test skips the 0.3 entry of the row 0.3·x <= 0.1: raising x to 1
-// leaves that row's basic slack at −0.2, a violated row whose residual
-// ‖b − B·x_B‖ is exact — only the certificate's x_B bound sees it.
-var negativeSlackOptions = &Options{Tolerance: 0.5}
+// negativeSlackRevised is a handle whose pivoting tolerance (0.5) is large
+// enough that the ratio test skips the 0.3 entry of the row 0.3·x <= 0.1:
+// raising x to 1 leaves that row's basic slack at −0.2, a violated row whose
+// residual ‖b − B·x_B‖ is exact — only the certificate's x_B bound sees it.
+func negativeSlackRevised(p *Problem) *Revised {
+	rv := NewRevised(p, nil)
+	rv.tol = 0.5
+	return rv
+}
 
 // TestRevisedColdNeverReportsInfeasibleBasis: a cold solve whose optimal
 // basis holds a basic value below zero past the certificate's bound fails
@@ -831,7 +835,7 @@ func TestRevisedColdNeverReportsInfeasibleBasis(t *testing.T) {
 	p.SetObjective([]float64{1})
 	p.addDense([]float64{1}, LE, 1)
 	p.addDense([]float64{0.3}, LE, 0.1)
-	sol, err := NewRevised(p, negativeSlackOptions).Solve()
+	sol, err := negativeSlackRevised(p).Solve()
 	if !errors.Is(err, ErrNumerical) {
 		t.Fatalf("err = %v, want ErrNumerical", err)
 	}
@@ -847,7 +851,7 @@ func TestRevisedWarmInfeasibleBasisCostsOneColdSolve(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective([]float64{1})
 	p.addDense([]float64{1}, LE, 1)
-	rv := NewRevised(p, negativeSlackOptions)
+	rv := negativeSlackRevised(p)
 	sol, err := rv.Solve()
 	if err != nil {
 		t.Fatal(err)

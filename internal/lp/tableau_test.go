@@ -35,10 +35,7 @@ func denseSolveContext(ctx context.Context, p *Problem, opts *Options) (*Solutio
 	if p == nil || p.numVars == 0 {
 		return nil, ErrBadProblem
 	}
-	tol := 1e-9
-	if opts != nil && opts.Tolerance > 0 {
-		tol = opts.Tolerance
-	}
+	tol := simplexTol
 
 	m := len(p.constraints)
 	if m == 0 {

@@ -31,22 +31,16 @@ type Options struct {
 	// optimal decomposition uses more trees, the lightest are dropped and
 	// the packing is marked Truncated with its honest (smaller) throughput.
 	MaxTrees int
-	// Tolerance is the acceptable relative gap between the packed throughput
-	// and the LP throughput (default 1e-7, scaled by the throughput
-	// magnitude). Column generation stops as soon as the master value is
-	// within Tolerance of the LP optimum, or when pricing proves no tree can
-	// improve the master; a gap beyond 10x Tolerance is reported as
-	// ErrNotPacked. The default keeps the hard failure bar at the package's
-	// 1e-6 contract while the cutting-plane and master LPs certify ~1e-8.
-	Tolerance float64
 }
 
-func (o *Options) tolerance() float64 {
-	if o != nil && o.Tolerance > 0 {
-		return o.Tolerance
-	}
-	return 1e-7
-}
+// tolerance is the acceptable relative gap between the packed throughput and
+// the LP throughput (scaled by the throughput magnitude). Column generation
+// stops as soon as the master value is within tolerance of the LP optimum, or
+// when pricing proves no tree can improve the master; a gap beyond 10x
+// tolerance is reported as ErrNotPacked. It keeps the hard failure bar at the
+// package's 1e-6 contract while the cutting-plane and master LPs certify
+// ~1e-8.
+const tolerance = 1e-7
 
 func (o *Options) maxTrees() int {
 	if o != nil && o.MaxTrees > 0 {
@@ -109,7 +103,7 @@ func decompose(p *platform.Platform, source int, sol *steady.Solution, opts *Opt
 	// objective carry relative (not absolute) solver noise, so an absolute
 	// 1e-9 bar is unreachable on platforms broadcasting hundreds of slices
 	// per time unit.
-	tol := opts.tolerance() * math.Max(1, math.Abs(tp))
+	tol := tolerance * math.Max(1, math.Abs(tp))
 
 	pk := &steady.Packing{Source: source, LPThroughput: tp}
 	if math.Abs(tp) <= tol {

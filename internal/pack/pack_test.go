@@ -162,7 +162,6 @@ func TestPackedBeatsEverySingleTree(t *testing.T) {
 // every packing invariant.
 func TestWarmRepackAfterChurnMatchesCold(t *testing.T) {
 	const churnEvents = 50
-	opts := &steady.Options{GapTolerance: 1e-9}
 	for _, s := range scenarios.All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -179,7 +178,7 @@ func TestWarmRepackAfterChurnMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess := steady.NewSession(p, 0, opts)
+			sess := steady.NewSession(p, 0, nil)
 			if _, err := sess.Resolve(); err != nil {
 				t.Fatalf("initial resolve: %v", err)
 			}
@@ -196,7 +195,7 @@ func TestWarmRepackAfterChurnMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("warm re-pack: %v", err)
 			}
-			coldSol, err := steady.Solve(p, 0, opts)
+			coldSol, err := steady.Solve(p, 0, nil)
 			if err != nil {
 				t.Fatalf("cold resolve: %v", err)
 			}

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/dynamic"
 	"repro/internal/heuristics"
-	"repro/internal/lp"
 	"repro/internal/platform"
-	"repro/internal/steady"
 )
 
 // This file is the churn dimension of the sweep engine: with
@@ -148,14 +146,9 @@ func evaluateUnitChurn(cfg SweepConfig, cs churnSettings, u unit, p *platform.Pl
 		res.Error = fmt.Errorf("generate trace: %w", err).Error()
 		return res
 	}
-	var steadyOpts *steady.Options
-	if cfg.LPMaxIterations > 0 {
-		steadyOpts = &steady.Options{LP: &lp.Options{MaxIterations: cfg.LPMaxIterations}}
-	}
 	rep, err := dynamic.Run(p, cfg.Source, tr, dynamic.Config{
 		Heuristic: cs.heuristic,
 		Model:     cfg.EvalModel,
-		Steady:    steadyOpts,
 	})
 	if err != nil {
 		res.Error = fmt.Errorf("churn run: %w", err).Error()

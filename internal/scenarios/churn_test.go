@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dynamic"
-	"repro/internal/steady"
 )
 
 // smallestSize returns the smallest default size of a scenario.
@@ -68,7 +67,6 @@ func TestChurnWarmSessionMatchesColdSolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential churn sweep is not short")
 	}
-	opts := &steady.Options{GapTolerance: 1e-9}
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -86,11 +84,11 @@ func TestChurnWarmSessionMatchesColdSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := dynamic.Run(p, 0, tr, dynamic.Config{Steady: opts})
+			warm, err := dynamic.Run(p, 0, tr, dynamic.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := dynamic.Run(p, 0, tr, dynamic.Config{Steady: opts, ColdResolve: true})
+			cold, err := dynamic.Run(p, 0, tr, dynamic.Config{ColdResolve: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,10 +68,7 @@ func TestSteadyWarmColdDirectAcrossRegistry(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d: generate: %v", size, err)
 				}
-				// A tight gap tolerance makes the cutting-plane loop run to
-				// full separation convergence, so both solvers agree to 1e-6
-				// instead of only to the default 1e-5 early-exit gap.
-				warm, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9})
+				warm, err := steady.Solve(p, source, nil)
 				if err != nil {
 					t.Fatalf("n=%d: warm: %v", size, err)
 				}

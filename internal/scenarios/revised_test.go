@@ -35,7 +35,7 @@ func TestSteadyRevisedAcrossRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generate: %v", err)
 			}
-			rev, err := steady.Solve(p, source, &steady.Options{GapTolerance: 1e-9})
+			rev, err := steady.Solve(p, source, nil)
 			if err != nil {
 				t.Fatalf("revised: %v", err)
 			}
@@ -69,7 +69,6 @@ func TestChurnRevisedSessionMatchesColdSolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential churn sweep is not short")
 	}
-	opts := &steady.Options{GapTolerance: 1e-9}
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -87,7 +86,7 @@ func TestChurnRevisedSessionMatchesColdSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := dynamic.Run(p, 0, tr, dynamic.Config{Steady: opts})
+			warm, err := dynamic.Run(p, 0, tr, dynamic.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +95,7 @@ func TestChurnRevisedSessionMatchesColdSolve(t *testing.T) {
 				if _, err := shadow.ApplyDelta(ev.Delta); err != nil {
 					t.Fatalf("event %d (%v): %v", i, ev.Delta, err)
 				}
-				cold, err := steady.Solve(shadow, 0, opts)
+				cold, err := steady.Solve(shadow, 0, nil)
 				if err != nil {
 					t.Fatalf("event %d (%v): cold: %v", i, ev.Delta, err)
 				}

@@ -44,10 +44,6 @@ type SweepConfig struct {
 	// RecordTimings enables per-run wall-clock measurements. It defaults to
 	// false so that sweep output is byte-for-byte deterministic.
 	RecordTimings bool
-	// LPMaxIterations bounds the simplex pivots of each master LP solve of
-	// the reference optimum (0 = solver default). A limit low enough to bite
-	// surfaces as a per-run error, never as a silent zero-throughput sample.
-	LPMaxIterations int
 	// PackTrees, when positive, adds the k-tree axis to every run: the
 	// optimal edge rates are decomposed into a weighted packing of at most
 	// PackTrees broadcast trees (see internal/pack) and every run row
@@ -409,10 +405,9 @@ func evaluateUnit(cfg SweepConfig, churn churnSettings, u unit, heur []string) [
 	// the same engine, or any service request — is answered from the
 	// fingerprint-keyed cache instead of being re-solved.
 	res, err := cfg.Planner.Plan(service.PlanRequest{
-		Platform:        p,
-		Source:          cfg.Source,
-		LPMaxIterations: cfg.LPMaxIterations,
-		Trees:           cfg.PackTrees,
+		Platform: p,
+		Source:   cfg.Source,
+		Trees:    cfg.PackTrees,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("steady-state LP: %w", err))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/heuristics"
+	"repro/internal/lp"
 	"repro/internal/model"
 	"repro/internal/service"
 	"repro/internal/steady"
@@ -348,17 +349,19 @@ func TestSweepOptimaMatchColdReference(t *testing.T) {
 }
 
 // TestSweepIterationLimitedLPSurfacesAsError is the sweep-level regression
-// test for the silent zero-throughput poisoning: with a 1-pivot LP budget
-// every run must carry an error — never a nil-error sample with throughput 0
-// or a NaN ratio that would silently skew the aggregates.
+// test for the silent zero-throughput poisoning: with a 1-pivot LP budget on
+// the sweep's planner every run must carry an error — never a nil-error
+// sample with throughput 0 or a NaN ratio that would silently skew the
+// aggregates.
 func TestSweepIterationLimitedLPSurfacesAsError(t *testing.T) {
+	starved := &steady.Options{LP: &lp.Options{MaxIterations: 1}}
 	rep, err := Sweep(SweepConfig{
-		Scenarios:       []string{NameStar, NameClusters},
-		Sizes:           []int{8},
-		Heuristics:      []string{heuristics.NamePruneSimple},
-		Repetitions:     1,
-		Seed:            7,
-		LPMaxIterations: 1,
+		Scenarios:   []string{NameStar, NameClusters},
+		Sizes:       []int{8},
+		Heuristics:  []string{heuristics.NamePruneSimple},
+		Repetitions: 1,
+		Seed:        7,
+		Planner:     service.New(service.Config{Steady: starved, DisableSessions: true}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,12 +31,11 @@ type ConcurrentRequest struct {
 	// Sources are the concurrent broadcasts (at least one; sources must be
 	// distinct alive nodes).
 	Sources []ConcurrentSource `json:"sources"`
-	// Heuristic, Trees and LPMaxIterations are forwarded to every per-source
-	// plan (see PlanRequest). Trees > 0 additionally packs each broadcast
-	// into at most Trees weighted trees.
-	Heuristic       string `json:"heuristic,omitempty"`
-	Trees           int    `json:"trees,omitempty"`
-	LPMaxIterations int    `json:"lpMaxIterations,omitempty"`
+	// Heuristic and Trees are forwarded to every per-source plan (see
+	// PlanRequest). Trees > 0 additionally packs each broadcast into at most
+	// Trees weighted trees.
+	Heuristic string `json:"heuristic,omitempty"`
+	Trees     int    `json:"trees,omitempty"`
 	// DeadlineMs bounds each per-source solve (see PlanRequest.DeadlineMs).
 	DeadlineMs int `json:"deadlineMs,omitempty"`
 	// Workers bounds the per-source solves running concurrently (0 = one
@@ -144,12 +143,11 @@ func (e *Engine) ConcurrentContext(ctx context.Context, req ConcurrentRequest) (
 	reqs := make([]PlanRequest, len(req.Sources))
 	for i, cs := range req.Sources {
 		reqs[i] = PlanRequest{
-			Platform:        p,
-			Source:          cs.Source,
-			Heuristic:       req.Heuristic,
-			Trees:           req.Trees,
-			LPMaxIterations: req.LPMaxIterations,
-			DeadlineMs:      req.DeadlineMs,
+			Platform:   p,
+			Source:     cs.Source,
+			Heuristic:  req.Heuristic,
+			Trees:      req.Trees,
+			DeadlineMs: req.DeadlineMs,
 		}
 	}
 	workers := req.Workers

@@ -5,14 +5,14 @@
 // The engine keeps an LRU cache of solved plans — and of warm steady.Session
 // handles — looked up by exact hash: the SHA-256 of the incoming platform's
 // canonical encoding (platform.CanonicalEncoding, one linear pass) plus the
-// request parameters that change the answer (source, heuristic, pivot budget,
-// tree cap — there is one master LP solver, lp.Revised, so a platform has one
-// entry per such tuple). The permutation-invariant fingerprint
-// (platform.Fingerprint) is computed on a miss only, outside the engine lock,
-// for twin detection — a renumbered copy of a cached platform shares its
-// fingerprint, is counted as a twin miss and solved in its own numbering —
-// and for delta-base routing, delta requests naming their base by
-// fingerprint. So:
+// request parameters that change the answer (source, heuristic, tree cap —
+// there is one master LP solver, lp.Revised, configured once per engine by
+// Config.Steady, so a platform has one entry per such tuple). The
+// permutation-invariant fingerprint (platform.Fingerprint) is computed on a
+// miss only, outside the engine lock, for twin detection — a renumbered copy
+// of a cached platform shares its fingerprint, is counted as a twin miss and
+// solved in its own numbering — and for delta-base routing, delta requests
+// naming their base by fingerprint. So:
 //
 //   - A repeated identical request is answered from the cache with the
 //     byte-identical marshaled plan, without touching the solver or running

@@ -277,10 +277,11 @@ func TestHTTPMalformedJSONStructured400(t *testing.T) {
 	}
 }
 
-// TestHTTPDeletedLPKnobsAreRejected: the master LP solver is not a request
-// parameter. A body still carrying one of the deleted knobs — on any endpoint
-// that used to forward them — is refused by the strict decoder with a
-// structured 400 that names the field, not silently planned.
+// TestHTTPDeletedLPKnobsAreRejected: the master LP solver and its pivot
+// budget are not request parameters. A body still carrying one of the
+// deleted knobs — on any endpoint that used to forward them — is refused by
+// the strict decoder with a structured 400 that names the field, not
+// silently planned.
 func TestHTTPDeletedLPKnobsAreRejected(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(New(Config{})))
 	defer srv.Close()
@@ -288,13 +289,13 @@ func TestHTTPDeletedLPKnobsAreRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, knob := range []string{"revisedLP", "coldLP"} {
+	for knob, value := range map[string]string{"revisedLP": "true", "coldLP": "true", "lpMaxIterations": "500"} {
 		for path, rest := range map[string]string{
 			"/v1/plan":       `"source":0`,
 			"/v1/evaluate":   `"source":0`,
 			"/v1/concurrent": `"sources":[{"source":0}]`,
 		} {
-			body := `{"platform":` + string(plat) + `,` + rest + `,"` + knob + `":true}`
+			body := `{"platform":` + string(plat) + `,` + rest + `,"` + knob + `":` + value + `}`
 			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatalf("%s %s: %v", path, knob, err)

@@ -278,10 +278,10 @@ func TestErrorPathSingleflightCounted(t *testing.T) {
 			}
 		},
 	}
-	e := New(Config{Hooks: hooks, Workers: 2})
+	// A one-pivot budget starves the master LP so the solve must fail.
+	e := New(Config{Hooks: hooks, Workers: 2, Steady: starvedLP})
 	p := clusterPlatform(t, 5)
-	// LPMaxIterations 1 starves the master LP so the solve must fail.
-	req := PlanRequest{Platform: p, Source: 0, LPMaxIterations: 1}
+	req := PlanRequest{Platform: p, Source: 0}
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)

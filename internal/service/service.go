@@ -91,8 +91,10 @@ type Config struct {
 	// carry its own deadlineMs: the solve is canceled (ErrCanceled, HTTP
 	// 504) once the deadline expires. Zero means no server-side deadline.
 	DefaultDeadline time.Duration
-	// Steady is the base steady-state solver configuration applied to every
-	// request (a per-request LPMaxIterations is layered on top).
+	// Steady is the steady-state solver configuration of every plan solve
+	// (nil = the solver's defaults; churn replays always use those). It is
+	// the one place solver tuning enters the engine: no request carries any,
+	// so it is not part of the cache key.
 	Steady *steady.Options
 	// DisableSessions drops the warm solver session (master LP basis and
 	// cut pool) after each solve instead of retaining it on the cache entry.
@@ -202,8 +204,8 @@ type PlanRequest struct {
 	// Platform is the full platform to plan for.
 	Platform *platform.Platform `json:"platform,omitempty"`
 	// Base is the fingerprint (hex) of a previously planned platform; Deltas
-	// are applied to it in order. The base request's Source, Heuristic,
-	// Trees and LPMaxIterations must be repeated for the cache key to resolve.
+	// are applied to it in order. The base request's Source, Heuristic and
+	// Trees must be repeated for the cache key to resolve.
 	Base   string           `json:"base,omitempty"`
 	Deltas []platform.Delta `json:"deltas,omitempty"`
 	// BaseExact optionally pins the exact cached platform the Base
@@ -223,9 +225,6 @@ type PlanRequest struct {
 	// cap is generous; a tight cap truncates to the heaviest trees and
 	// reports the honest reduced throughput. Part of the cache identity.
 	Trees int `json:"trees,omitempty"`
-	// LPMaxIterations bounds the simplex pivots per master solve (0 = solver
-	// default).
-	LPMaxIterations int `json:"lpMaxIterations,omitempty"`
 	// DeadlineMs bounds this request in milliseconds: the solve is canceled
 	// (ErrCanceled, HTTP 504) once the budget expires. Zero falls back to
 	// the engine's DefaultDeadline (which may itself be "none"). Not part
@@ -385,7 +384,6 @@ type Stats struct {
 type planParams struct {
 	source    int
 	heuristic string
-	maxIter   int
 	trees     int
 }
 
@@ -727,7 +725,9 @@ func TraceOutcome(res *PlanResult, err error) string {
 func traceIdentity(key cacheKey) [32]byte {
 	h := sha256.New()
 	h.Write(key.exact[:])
-	fmt.Fprintf(h, "|%d|%s|%d|%d", key.source, key.heuristic, key.maxIter, key.trees)
+	// The literal 0 stands for a retired per-request pivot budget that no
+	// CLI, load mix or benchmark ever set; keeping it keeps trace IDs stable.
+	fmt.Fprintf(h, "|%d|%s|0|%d", key.source, key.heuristic, key.trees)
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
 	return out
@@ -745,28 +745,8 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// steadyOptions layers the per-request pivot budget over the engine's base
-// solver configuration.
-func (e *Engine) steadyOptions(req PlanRequest) *steady.Options {
-	var opts steady.Options
-	if e.cfg.Steady != nil {
-		opts = *e.cfg.Steady
-	}
-	if req.LPMaxIterations > 0 {
-		// Override only the pivot budget; any other LP tuning configured on
-		// the engine (tolerances, ...) stays in force.
-		var lpOpts lp.Options
-		if opts.LP != nil {
-			lpOpts = *opts.LP
-		}
-		lpOpts.MaxIterations = req.LPMaxIterations
-		opts.LP = &lpOpts
-	}
-	return &opts
-}
-
 func (req PlanRequest) params() planParams {
-	return planParams{source: req.Source, heuristic: req.Heuristic, maxIter: req.LPMaxIterations, trees: req.Trees}
+	return planParams{source: req.Source, heuristic: req.Heuristic, trees: req.Trees}
 }
 
 // Plan answers one plan request: from the cache when the platform has been
@@ -1052,7 +1032,7 @@ func (e *Engine) solve(ctx context.Context, kind obs.SpanKind, req PlanRequest, 
 		sess, sp = taken.sess, taken.p
 	} else {
 		sp = p.Clone()
-		sess = steady.NewSession(sp, req.Source, e.steadyOptions(req))
+		sess = steady.NewSession(sp, req.Source, e.cfg.Steady)
 	}
 	before := sess.Stats()
 	start := time.Now()
@@ -1367,7 +1347,7 @@ func (e *Engine) planFromBase(ctx context.Context, req PlanRequest, tc *obs.Trac
 		base.session, base.sessionP = nil, nil
 	} else {
 		taken.p = base.plat.Clone()
-		taken.sess = steady.NewSession(taken.p, req.Source, e.steadyOptions(req))
+		taken.sess = steady.NewSession(taken.p, req.Source, e.cfg.Steady)
 	}
 	base.mu.Unlock()
 	for _, d := range req.Deltas {
@@ -1417,8 +1397,7 @@ type EvaluateRequest struct {
 	Platform *platform.Platform `json:"platform"`
 	Source   int                `json:"source"`
 	// Heuristics to evaluate (empty = every registered heuristic).
-	Heuristics      []string `json:"heuristics,omitempty"`
-	LPMaxIterations int      `json:"lpMaxIterations,omitempty"`
+	Heuristics []string `json:"heuristics,omitempty"`
 }
 
 // HeuristicResult is the outcome of one heuristic in an evaluation.
@@ -1449,7 +1428,7 @@ func (e *Engine) EvaluateContext(ctx context.Context, req EvaluateRequest) (*Eva
 	if req.Platform == nil {
 		return nil, ErrNoPlatform
 	}
-	planReq := PlanRequest{Platform: req.Platform, Source: req.Source, LPMaxIterations: req.LPMaxIterations}
+	planReq := PlanRequest{Platform: req.Platform, Source: req.Source}
 	res, err := e.PlanContext(ctx, planReq)
 	if err != nil {
 		return nil, err
@@ -1570,7 +1549,7 @@ func (e *Engine) ChurnContext(ctx context.Context, req ChurnRequest) (*ChurnRepl
 	if err != nil {
 		return nil, err
 	}
-	cfg := dynamic.Config{Heuristic: req.Heuristic, ColdResolve: req.ColdResolve, Steady: e.cfg.Steady}
+	cfg := dynamic.Config{Heuristic: req.Heuristic, ColdResolve: req.ColdResolve}
 	report, err := dynamic.Run(req.Platform, req.Source, trace, cfg)
 	if err != nil {
 		return nil, err

@@ -156,13 +156,6 @@ func TestPlanKeySeparatesOptionsAndSource(t *testing.T) {
 	if res.Cached {
 		t.Error("different heuristic must not hit the cache")
 	}
-	res, err = e.Plan(PlanRequest{Platform: p, Source: 0, LPMaxIterations: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Error("different pivot budget must not hit the cache")
-	}
 }
 
 func TestPlanDeltaPathWarmThenDerived(t *testing.T) {
@@ -320,20 +313,22 @@ func TestPlanDisableSessionsStillServesDeltas(t *testing.T) {
 	}
 }
 
+// starvedLP is a one-pivot master budget: every solve under it fails with
+// ErrLPFailed.
+var starvedLP = &steady.Options{LP: &lp.Options{MaxIterations: 1}}
+
 func TestPlanFailedSolveNotCached(t *testing.T) {
-	e := New(Config{})
+	e := New(Config{Steady: starvedLP})
 	p := clusterPlatform(t, 3)
-	req := PlanRequest{Platform: p, Source: 0, LPMaxIterations: 1}
-	if _, err := e.Plan(req); !errors.Is(err, steady.ErrLPFailed) {
-		t.Fatalf("err = %v, want ErrLPFailed", err)
-	}
-	if st := e.Stats(); st.CacheEntries != 0 {
-		t.Errorf("failed solve left %d cache entries", st.CacheEntries)
-	}
-	// Without the limit the same platform solves fine: the failure was not
-	// sticky.
-	if _, err := e.Plan(PlanRequest{Platform: p, Source: 0}); err != nil {
-		t.Fatalf("follow-up solve failed: %v", err)
+	req := PlanRequest{Platform: p, Source: 0}
+	// The failure is not cached: the repeat misses and solves again.
+	for i := int64(1); i <= 2; i++ {
+		if _, err := e.Plan(req); !errors.Is(err, steady.ErrLPFailed) {
+			t.Fatalf("request %d: err = %v, want ErrLPFailed", i, err)
+		}
+		if st := e.Stats(); st.CacheEntries != 0 || st.Misses != i || st.Hits != 0 {
+			t.Errorf("request %d: stats = %+v, want %d misses, no hits and no cache entry", i, st, i)
+		}
 	}
 }
 
@@ -511,23 +506,6 @@ func TestPlanDeltaBaseAmbiguousTwinsNeedExactKey(t *testing.T) {
 
 	if _, err := e.Plan(PlanRequest{Base: rp.Plan.Fingerprint, BaseExact: "zz", Source: 0}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("malformed baseExact: err = %v, want ErrBadRequest", err)
-	}
-}
-
-func TestPlanEngineSteadyLPOptionsSurvivePivotOverride(t *testing.T) {
-	// A per-request pivot budget must not wipe other LP tuning configured
-	// on the engine.
-	base := &steady.Options{LP: &lp.Options{Tolerance: 1e-10, MaxIterations: 5000}}
-	e := New(Config{Steady: base})
-	opts := e.steadyOptions(PlanRequest{LPMaxIterations: 7})
-	if opts.LP.MaxIterations != 7 {
-		t.Errorf("MaxIterations = %d, want 7", opts.LP.MaxIterations)
-	}
-	if opts.LP.Tolerance != 1e-10 {
-		t.Errorf("Tolerance = %v, want the engine-configured 1e-10", opts.LP.Tolerance)
-	}
-	if base.LP.MaxIterations != 5000 {
-		t.Error("request-level override mutated the engine's shared options")
 	}
 }
 

@@ -20,7 +20,7 @@ func TestResolveContextCanceledThenResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(p, 0, sessionOpts())
+	s := NewSession(p, 0, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -58,7 +58,7 @@ func TestResolveContextMidStreamCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(p, 0, sessionOpts())
+	s := NewSession(p, 0, nil)
 	if _, err := s.Resolve(); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,8 @@ const certTol = 1e-6
 //     a, b >= 0 (PortDual) and c_e = t_e·(a_u + b_v), TP·min_T c(T) <=
 //     Σ_e n_e·c_e <= Σ(a+b); one Chu-Liu/Edmonds run gives upper = Σ(a+b)/
 //     min_T c(T). Throughput must match upper within 1e-6 both ways (a
-//     GapTolerance above 1e-6 can fail that); prices bounding nothing fail.
+//     throughput the cut loop's 1e-5 gap exit reports can fail that);
+//     prices bounding nothing fail.
 func Certify(p *platform.Platform, source int, sol *Solution) (lower, upper float64, err error) {
 	if err := p.ValidateLive(source); err != nil {
 		return 0, 0, err

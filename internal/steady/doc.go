@@ -21,8 +21,9 @@
 //     round one, each re-solve prices the newly separated cut rows into the
 //     previous optimal basis and re-optimizes with a few dual simplex pivots
 //     instead of re-pivoting from the slack basis; a warm re-solve that
-//     cannot be completed costs one cold solve. There is no other master and
-//     no option that selects one.
+//     cannot be completed costs one cold solve. There is no other master;
+//     its pivot budget is the one option, and the loop's tolerances (1e-7
+//     separation, 1e-5 gap exit) and 200-round limit are constants.
 //
 //   - SolveDirect encodes LP (2) directly over the live state
 //     (per-destination flow variables, |E|·|V| of them), for small platforms

@@ -109,7 +109,7 @@ func ReplaySeparation(p *platform.Platform, source int, check func(round int, go
 				s.sep.freshNet.SetCapacity(id, rate)
 			}
 		}
-		threshold := tp - prod.opts.tolerance()*math.Max(1, tp)
+		threshold := tp - separationTolerance*math.Max(1, tp)
 
 		var out, ref SeparationOutcome
 		pooled := len(prod.pool)
@@ -125,7 +125,7 @@ func ReplaySeparation(p *platform.Platform, source int, check func(round int, go
 		if out.Added == 0 {
 			return sol, nil
 		}
-		if tp-out.Supported <= prod.opts.gapTolerance()*math.Max(1, tp) {
+		if tp-out.Supported <= gapTolerance*math.Max(1, tp) {
 			sol.Throughput = out.Supported
 			return sol, nil
 		}

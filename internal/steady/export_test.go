@@ -46,11 +46,11 @@ func coldEveryRound(p *platform.Platform, source int, opts *Options) (*Solution,
 			s.sep.freshNet.SetCapacity(id, sol.EdgeRate[id])
 		}
 		sol.Throughput = tp
-		supported, violated := s.separate(tp-opts.tolerance()*math.Max(1, tp), sol)
+		supported, violated := s.separate(tp-separationTolerance*math.Max(1, tp), sol)
 		if violated == 0 {
 			return sol, nil
 		}
-		if tp-supported <= opts.gapTolerance()*math.Max(1, tp) {
+		if tp-supported <= gapTolerance*math.Max(1, tp) {
 			sol.Throughput = supported
 			return sol, nil
 		}

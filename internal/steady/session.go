@@ -423,7 +423,6 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 	clear(sep.violated)
 
 	sol := &Solution{EdgeRate: make([]float64, e)}
-	tol := opts.tolerance()
 	before := rev.Stats()
 	solveMaster := func() (*lp.Solution, error) {
 		start := time.Now()
@@ -503,7 +502,7 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 			sep.chainNet.SetCapacity(id, rate)
 			sep.freshNet.SetCapacity(id, rate)
 		}
-		threshold := tp - tol*math.Max(1, tp)
+		threshold := tp - separationTolerance*math.Max(1, tp)
 		supported, violated := s.separate(threshold, sol)
 		sol.Cuts = len(s.seen)
 		sol.SepWallNanos += time.Since(sepStart).Nanoseconds()
@@ -518,7 +517,7 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 			sol.PortDual = portDual(p.NumNodes(), rev.Duals(), s.occ)
 			return sol, nil
 		}
-		if lpSol.Status == lp.Optimal && tp-supported <= opts.gapTolerance()*math.Max(1, tp) {
+		if lpSol.Status == lp.Optimal && tp-supported <= gapTolerance*math.Max(1, tp) {
 			// The current rates already support a throughput within the gap
 			// tolerance of the upper bound; report the achievable value. The
 			// exit requires an Optimal master: on an iteration-limited round

@@ -8,11 +8,6 @@ import (
 	"repro/internal/topology"
 )
 
-// sessionOpts forces full separation convergence, so the certified interval
-// around a session's throughput is tight (the default gap-based exit may
-// stop at an achievable lower bound 1e-5 below the master's value).
-func sessionOpts() *Options { return &Options{GapTolerance: 1e-9} }
-
 // checkCertified certifies the session's solution against the
 // platform's current state: its throughput must lie in the interval Certify
 // proves from its rates and port prices.
@@ -28,7 +23,7 @@ func TestSessionAcrossMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(p, 0, sessionOpts())
+	s := NewSession(p, 0, nil)
 	sol, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +126,7 @@ func TestSessionNoMutationIsCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(p, 0, sessionOpts())
+	s := NewSession(p, 0, nil)
 	first, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)

@@ -70,56 +70,45 @@ type Solution struct {
 	Packing *Packing
 }
 
-// Options tunes the solvers.
+// Options tunes the solvers: the pivot budget of each master solve.
 type Options struct {
-	// MaxRounds bounds the number of cutting-plane iterations (default 200).
-	MaxRounds int
-	// Tolerance is the relative violation tolerance used when separating
-	// cuts (default 1e-7).
-	Tolerance float64
-	// GapTolerance stops the cutting-plane loop as soon as the relative gap
-	// between the master LP value (an upper bound on the optimum) and the
-	// throughput actually supported by the current edge rates (a lower
-	// bound, the smallest destination max-flow) falls below this value
-	// (default 1e-5). The reported throughput is then the achievable lower
-	// bound.
-	GapTolerance float64
-	// LP are the options passed to the simplex solver.
+	// LP.MaxIterations bounds the simplex pivots of each master solve (zero
+	// or a nil LP means defaultPivotBudget).
 	LP *lp.Options
+	// roundLimit overrides defaultMaxRounds when positive; only the
+	// package's tests set it.
+	roundLimit int
 }
+
+const (
+	defaultMaxRounds = 200
+	// separationTolerance is the relative violation a cut must exceed to be
+	// separated (relative to max(1, tp)).
+	separationTolerance = 1e-7
+	// gapTolerance stops the cutting-plane loop as soon as the master value
+	// (an upper bound) and the smallest destination max-flow (an achievable
+	// lower bound, then reported) are within gapTolerance·max(1, tp).
+	gapTolerance = 1e-5
+	// defaultPivotBudget bounds the worst-case cost of one master solve: on
+	// rare, highly degenerate masters the simplex can otherwise spend
+	// minutes proving optimality. A phase-2 solve that hits it still returns
+	// a primal feasible point to separate against; one that leaves no
+	// feasible point surfaces as ErrLPFailed.
+	defaultPivotBudget = 30000
+)
 
 func (o *Options) maxRounds() int {
-	if o != nil && o.MaxRounds > 0 {
-		return o.MaxRounds
+	if o != nil && o.roundLimit > 0 {
+		return o.roundLimit
 	}
-	return 200
-}
-
-func (o *Options) tolerance() float64 {
-	if o != nil && o.Tolerance > 0 {
-		return o.Tolerance
-	}
-	return 1e-7
-}
-
-func (o *Options) gapTolerance() float64 {
-	if o != nil && o.GapTolerance > 0 {
-		return o.GapTolerance
-	}
-	return 1e-5
+	return defaultMaxRounds
 }
 
 func (o *Options) lpOptions() *lp.Options {
-	if o != nil && o.LP != nil {
+	if o != nil && o.LP != nil && o.LP.MaxIterations > 0 {
 		return o.LP
 	}
-	// Bound the worst-case cost of one master solve: on rare, highly
-	// degenerate masters the simplex can otherwise spend minutes proving
-	// optimality. A phase-2 solve that hits this limit still returns a
-	// primal feasible point, which the cutting-plane loop can keep
-	// separating against (see Solve); a limit that leaves no feasible point
-	// surfaces as ErrLPFailed.
-	return &lp.Options{MaxIterations: 30000}
+	return &lp.Options{MaxIterations: defaultPivotBudget}
 }
 
 // Errors returned by the solvers.

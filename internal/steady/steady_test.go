@@ -360,31 +360,49 @@ func TestThroughputUpperBound(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	var o *Options
-	if o.maxRounds() != 200 || o.tolerance() != 1e-7 || o.gapTolerance() != 1e-5 {
-		t.Fatal("nil options should use defaults")
-	}
-	if lpo := o.lpOptions(); lpo == nil || lpo.MaxIterations <= 0 {
-		t.Fatal("nil options should bound the master LP iterations")
-	}
-	o = &Options{MaxRounds: 3, Tolerance: 1e-5, GapTolerance: 1e-3}
-	if o.maxRounds() != 3 || o.tolerance() != 1e-5 || o.gapTolerance() != 1e-3 {
-		t.Fatal("explicit options ignored")
+	for _, c := range []struct {
+		name          string
+		opts          *Options
+		rounds, pivot int
+	}{
+		{"nil", nil, 200, 30000},
+		{"zero", &Options{}, 200, 30000},
+		// A zero budget means the solver's budget, not lp's 50·(rows+cols).
+		{"zero LP budget", &Options{LP: &lp.Options{}}, 200, 30000},
+		{"LP budget", &Options{LP: &lp.Options{MaxIterations: 7}}, 200, 7},
+		{"round limit", &Options{roundLimit: 3}, 3, 30000},
+	} {
+		if got := c.opts.maxRounds(); got != c.rounds {
+			t.Errorf("%s: maxRounds = %d, want %d", c.name, got, c.rounds)
+		}
+		if got := c.opts.lpOptions().MaxIterations; got != c.pivot {
+			t.Errorf("%s: pivot budget = %d, want %d", c.name, got, c.pivot)
+		}
 	}
 }
 
+// TestNoConvergenceWithTinyRoundLimit: a platform whose default solve needs
+// more than one round ends ErrNoConvergence under a one-round limit, with
+// the round it ran reported.
 func TestNoConvergenceWithTinyRoundLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p, err := topology.Random(topology.DefaultRandomConfig(12, 0.3), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Solve(p, 0, &Options{MaxRounds: 1})
-	// With a single round the solver may or may not converge; it must not
-	// return a nil error together with an infeasible solution. If it errors,
-	// the error must be ErrNoConvergence.
-	if err != nil && !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("unexpected error: %v", err)
+	full, err := Solve(p, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Rounds < 2 {
+		t.Fatalf("the default solve took %d round(s); the fixture needs more than one", full.Rounds)
+	}
+	sol, err := Solve(p, 0, &Options{roundLimit: 1})
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	if sol == nil || sol.Rounds != 1 {
+		t.Fatalf("solution %+v, want the one round it ran", sol)
 	}
 }
 
@@ -444,7 +462,7 @@ func scaleSolution(s *Solution, f float64) {
 // wrong by more than the 1e-6 bar, and each must be rejected, not certified.
 func TestCertify(t *testing.T) {
 	p := starPlatform([]float64{1, 2}) // links: 0->1, 1->0, 0->2, 2->0
-	opt, err := Solve(p, 0, &Options{GapTolerance: 1e-9})
+	opt, err := Solve(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
