@@ -22,6 +22,14 @@
 // FactorStats). There is no fallback solver: a cold solve that fails
 // numerically returns an error wrapping ErrNumerical.
 //
+// A cold solve starts from the slack basis unless Revised.Crash seeded it
+// with a crash basis (Bixby, ORSA J. Computing 1992): structural columns
+// basic in the rows the caller names, in place of those rows' logicals. A
+// crash basis that is singular or primal infeasible is rejected, counted in
+// SolveStats.CrashRejects, and the solve starts from the slack basis. Package
+// steady seeds every fresh cut master with one built from a spanning tree of
+// the platform, which is primal feasible by construction.
+//
 // Rows are sparse: Problem.AddSparseConstraint is the one way to add a
 // constraint, and it stores the row's nonzero terms only (a repeated
 // variable's coefficients summed, exact zeros dropped), so a row costs

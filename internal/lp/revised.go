@@ -17,6 +17,8 @@ import (
 // factorization solves (FTRAN/BTRAN) plus one sweep over the sparse columns
 // for pricing — on the cutting-plane masters of package steady, where most
 // basic columns are slacks, that is what lets sweeps complete at n=1024.
+// A cold solve starts from the slack basis, or from the crash basis Crash
+// seeded when that basis factors and is primal feasible.
 //
 // The factorization is refactorized from scratch on two triggers: an
 // update-count trigger (etaLimit pivots since the last refactorization) and
@@ -101,6 +103,7 @@ type Revised struct {
 	dual     []float64 // duals of the last Optimal solve, nil until known (see Duals)
 	objSnap  []float64
 	lastWarm bool
+	crash    []CrashPair // seeds the next cold solve (see Crash)
 
 	stats  SolveStats
 	fstats FactorStats
@@ -123,10 +126,19 @@ type SolveStats struct {
 	// WarmSolves and WarmPivots count the Solve calls (and their simplex
 	// pivots) that re-optimized from the previous optimal basis.
 	WarmSolves, WarmPivots int
-	// ColdSolves and ColdPivots count the Solve calls that solved from the
-	// slack basis: the first solve and any fallback re-solve.
+	// ColdSolves and ColdPivots count the Solve calls that solved from a
+	// fresh basis — the slack basis, or the crash basis Crash seeded: the
+	// first solve and any fallback re-solve.
 	ColdSolves, ColdPivots int
+	// Crashes counts the cold solves that Crash seeded, and CrashRejects
+	// those among them whose crash basis was singular or primal infeasible,
+	// so that they started from the slack basis instead.
+	Crashes, CrashRejects int
 }
+
+// CrashPair is one entry of a crash basis (see Revised.Crash): structural
+// column Col replaces the logical of constraint Row in the initial basis.
+type CrashPair struct{ Row, Col int }
 
 // FactorStats counts the factorization work done by a Revised handle.
 type FactorStats struct {
@@ -167,19 +179,32 @@ func (rv *Revised) Solve() (*Solution, error) {
 	return rv.SolveContext(context.Background())
 }
 
+// Crash seeds the next cold solve with a crash basis (Bixby, ORSA J.
+// Computing 1992): the slack basis with each pair's structural column basic
+// in its constraint's row instead of that row's logical. A basis that does
+// not factor, or whose basic values are not all ≥ −tol, is rejected
+// (SolveStats.CrashRejects) and the solve starts from the slack basis, as it
+// does without a crash. The pairs are copied; the seed is spent by the next
+// cold solve, whether or not it was accepted, so a later fallback re-solve
+// starts from the slack basis.
+func (rv *Revised) Crash(pairs []CrashPair) {
+	rv.crash = append(rv.crash[:0], pairs...)
+}
+
 // SolveContext solves with cooperative cancellation: the first call (and any
-// call after a non-Optimal solve) solves cold from the slack basis; later
-// calls append the new rows and re-optimize warm with dual simplex from the
-// previous optimal basis. A warm attempt that does not reach optimality falls
-// back to one cold solve: the returned Solution then reflects the cold result
-// and its Iterations include the pivots of both attempts. A changed objective
-// does not force a cold re-solve on its own — every pivot is repriced from
-// the basis factorization, so the previous basis stays warm under primal
-// simplex. A canceled solve leaves the handle consistent but cold: the
-// mid-pivot factorization is discarded and never seeds a warm start, and a
-// canceled warm attempt returns the wrapped ErrCanceled directly instead of
-// spending a cold solve on a deadline that has already expired. A cold solve
-// that fails numerically returns an error wrapping ErrNumerical.
+// call after a non-Optimal solve) solves cold from the slack basis, or from
+// the crash basis Crash seeded; later calls append the new rows and
+// re-optimize warm with dual simplex from the previous optimal basis. A warm
+// attempt that does not reach optimality falls back to one cold solve: the
+// returned Solution then reflects the cold result and its Iterations include
+// the pivots of both attempts. A changed objective does not force a cold
+// re-solve on its own — every pivot is repriced from the basis factorization,
+// so the previous basis stays warm under primal simplex. A canceled solve
+// leaves the handle consistent but cold: the mid-pivot factorization is
+// discarded and never seeds a warm start, and a canceled warm attempt returns
+// the wrapped ErrCanceled directly instead of spending a cold solve on a
+// deadline that has already expired. A cold solve that fails numerically
+// returns an error wrapping ErrNumerical.
 func (rv *Revised) SolveContext(ctx context.Context) (*Solution, error) {
 	if rv.p == nil || rv.p.numVars == 0 {
 		return nil, ErrBadProblem
@@ -1177,8 +1202,54 @@ func (rv *Revised) Duals() []float64 {
 	return rv.dual
 }
 
+// crashStart spends the Crash seed on the slack basis build just made: it
+// puts every pair's column basic in its row and refactorizes. It reports
+// whether the crash basis factors and is primal feasible; otherwise (or
+// without a seed) the slack basis is restored, unfactorized. A pair out of
+// range, or repeating a row or a column, rejects the whole crash.
+func (rv *Revised) crashStart() bool {
+	if len(rv.crash) == 0 {
+		return false
+	}
+	pairs := rv.crash
+	rv.crash = rv.crash[:0]
+	rv.stats.Crashes++
+	if rv.seedBasis(pairs) && rv.refactor() {
+		feasible := true
+		for _, v := range rv.xB[:rv.m] {
+			if v < 0 { // refactor has zeroed the values above −tol
+				feasible = false
+				break
+			}
+		}
+		if feasible {
+			return true
+		}
+	}
+	rv.stats.CrashRejects++
+	rv.build()
+	rv.resetCosts()
+	return false
+}
+
+// seedBasis swaps the crash pairs into the slack basis build left, where
+// basis position i holds row i's logical.
+func (rv *Revised) seedBasis(pairs []CrashPair) bool {
+	for _, pr := range pairs {
+		if pr.Row < 0 || pr.Row >= rv.m || pr.Col < 0 || pr.Col >= rv.nStruct ||
+			rv.posOf[pr.Col] >= 0 || rv.basis[pr.Row] < rv.nStruct {
+			return false
+		}
+		rv.posOf[rv.basis[pr.Row]] = -1
+		rv.basis[pr.Row] = pr.Col
+		rv.posOf[pr.Col] = int32(pr.Row)
+	}
+	return true
+}
+
 // coldSolve runs the two-phase revised simplex from the slack/artificial
-// basis. A numerical failure is an error wrapping ErrNumerical.
+// basis, or from the crash basis Crash seeded. A numerical failure is an
+// error wrapping ErrNumerical.
 func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	if len(rv.p.constraints) == 0 {
 		// No rows: the optimum is 0 at x = 0 unless some objective
@@ -1200,7 +1271,7 @@ func (rv *Revised) coldSolve(ctx context.Context) (*Solution, error) {
 	rv.build()
 	rv.phase1 = rv.numArt > 0
 	rv.resetCosts()
-	if !rv.refactor() {
+	if !rv.crashStart() && !rv.refactor() {
 		return nil, numericalErr("singular slack basis")
 	}
 	limit := rv.pivotLimit()

@@ -75,9 +75,8 @@ func TestTreePropertiesAcrossRegistry(t *testing.T) {
 }
 
 // TestThroughputNeverExceedsMasterUpperBound is the invariant that protects
-// the cutting-plane termination: whatever exit the loop takes (no violated
-// cuts, or the gap-based early exit reporting the achievable lower bound),
-// the reported throughput may never exceed the final master LP value.
+// the cutting-plane termination: the reported throughput may never exceed
+// the final master LP value.
 func TestThroughputNeverExceedsMasterUpperBound(t *testing.T) {
 	const source = 0
 	for _, s := range All() {

@@ -286,7 +286,9 @@ func TestSweepMetaRecordsEffectiveSizes(t *testing.T) {
 }
 
 // TestSweepRecordsLPStats: every run carries the master-LP statistics of its
-// platform, and the meta totals count each platform exactly once.
+// platform, and the meta totals count each platform exactly once. A run may
+// take 0 pivots — star:8's crash basis is already optimal — but it always
+// takes a round and adds cuts, and the sweep as a whole pivots.
 func TestSweepRecordsLPStats(t *testing.T) {
 	cfg := smallSweepConfig()
 	rep, err := Sweep(cfg)
@@ -296,7 +298,7 @@ func TestSweepRecordsLPStats(t *testing.T) {
 	wantTotal := 0
 	seen := make(map[int64]bool) // platform seeds are unique per unit
 	for _, r := range rep.Runs {
-		if r.LPRounds <= 0 || r.LPPivots <= 0 {
+		if r.LPRounds <= 0 || r.LPCuts <= 0 {
 			t.Fatalf("run %s/%d/%d missing LP stats: %+v", r.Scenario, r.Size, r.Rep, r)
 		}
 		if r.LPWarmPivots+r.LPColdPivots != r.LPPivots {
@@ -307,6 +309,9 @@ func TestSweepRecordsLPStats(t *testing.T) {
 			seen[r.Seed] = true
 			wantTotal += r.LPPivots
 		}
+	}
+	if wantTotal == 0 {
+		t.Fatal("no run recorded a pivot")
 	}
 	if rep.Meta.TotalLPPivots != wantTotal {
 		t.Fatalf("meta total LP pivots %d, want %d (each platform once)", rep.Meta.TotalLPPivots, wantTotal)
@@ -352,17 +357,29 @@ func TestSweepOptimaMatchColdReference(t *testing.T) {
 // test for the silent zero-throughput poisoning: with a 1-pivot LP budget on
 // the sweep's planner every run must carry an error — never a nil-error
 // sample with throughput 0 or a NaN ratio that would silently skew the
-// aggregates.
+// aggregates. The families are ones whose first master, crash-started from a
+// spanning tree, still needs more than one pivot (a star's crash basis is
+// already optimal, so no budget would bite there).
 func TestSweepIterationLimitedLPSurfacesAsError(t *testing.T) {
-	starved := &steady.Options{LP: &lp.Options{MaxIterations: 1}}
-	rep, err := Sweep(SweepConfig{
-		Scenarios:   []string{NameStar, NameClusters},
-		Sizes:       []int{8},
+	cfg := SweepConfig{
+		Scenarios:   []string{NameRandomDense, NameHomogeneous},
+		Sizes:       []int{10},
 		Heuristics:  []string{heuristics.NamePruneSimple},
 		Repetitions: 1,
 		Seed:        7,
-		Planner:     service.New(service.Config{Steady: starved, DisableSessions: true}),
-	})
+	}
+	fed, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range fed.Runs {
+		if r.Error != "" || r.LPColdPivots <= 1 {
+			t.Fatalf("%s: the unstarved solve took %d cold pivots (error %q); the fixture needs more than one", r.Scenario, r.LPColdPivots, r.Error)
+		}
+	}
+	starved := &steady.Options{LP: &lp.Options{MaxIterations: 1}}
+	cfg.Planner = service.New(service.Config{Steady: starved, DisableSessions: true})
+	rep, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,13 @@
 //     across rounds — and, in a Session, across platform mutations: after
 //     round one, each re-solve prices the newly separated cut rows into the
 //     previous optimal basis and re-optimizes with a few dual simplex pivots
-//     instead of re-pivoting from the slack basis; a warm re-solve that
-//     cannot be completed costs one cold solve. There is no other master;
-//     its pivot budget is the one option, and the loop's tolerances (1e-7
-//     separation, 1e-5 gap exit) and 200-round limit are constants.
+//     instead of re-pivoting from a fresh basis; a warm re-solve that cannot
+//     be completed costs one cold solve. A fresh master's first solve starts
+//     from a crash basis built from a spanning tree of the platform (see
+//     "Crash start" in docs/ARCHITECTURE.md), not from the slack basis.
+//     The loop ends when no cut is violated. There is no other master; its
+//     pivot budget is the one option, and the 1e-7 separation tolerance, the
+//     1e-12·k cut perturbation and the 200-round limit are constants.
 //
 //   - SolveDirect encodes LP (2) directly over the live state
 //     (per-destination flow variables, |E|·|V| of them), for small platforms

@@ -11,36 +11,29 @@ import (
 )
 
 // SeparationOutcome is what one separation step did to the cutting-plane
-// state: the smallest destination flow it reported (a destination at or
-// above the threshold counting as the threshold), which destinations were
-// violated, how many master rows it added, and the new cut partitions it
-// pooled, in the order it added them.
+// state: which destinations were violated, how many master rows it added,
+// and the new cut partitions it pooled, in the order it added them.
 type SeparationOutcome struct {
-	Supported float64
-	Violated  []bool
-	Added     int
-	Pooled    []string
+	Violated []bool
+	Added    int
+	Pooled   []string
 }
 
 // oracleSeparate is the per-destination separation step: in index order, a
 // Reset and a bounded max-flow per alive destination on one network, and
 // both canonical minimum cuts of every violated one appended to the master.
 // It reads the edge rates already loaded into freshNet.
-func oracleSeparate(s *Session, threshold float64) (supported float64, violated []bool, added int) {
+func oracleSeparate(s *Session, threshold float64) (violated []bool, added int) {
 	p, source, nw := s.p, s.source, s.sep.freshNet
 	n := p.NumNodes()
-	supported, violated = math.Inf(1), make([]bool, n)
+	violated = make([]bool, n)
 	side := make([]bool, n)
 	for w := 0; w < n; w++ {
 		if w == source || !p.NodeAlive(w) {
 			continue
 		}
 		nw.Reset()
-		flow := nw.MaxFlowBounded(source, w, threshold)
-		if flow < supported {
-			supported = flow
-		}
-		if flow >= threshold {
+		if nw.MaxFlowBounded(source, w, threshold) >= threshold {
 			continue
 		}
 		violated[w] = true
@@ -53,16 +46,17 @@ func oracleSeparate(s *Session, threshold float64) (supported float64, violated 
 			added++
 		}
 	}
-	return supported, violated, added
+	return violated, added
 }
 
-// coldSession returns a session over p with its first master built, as
-// rebuild builds it.
+// coldSession returns a session over p with its first master built and
+// seeded with its crash basis, as rebuild builds it.
 func coldSession(p *platform.Platform, source int) *Session {
 	s := NewSession(p, source, nil)
 	s.refreshSeparator()
 	s.buildProblem()
 	s.rev = lp.NewRevised(s.problem, s.opts.lpOptions())
+	s.rev.Crash(s.crashBasis())
 	clear(s.sep.violated)
 	return s
 }
@@ -113,20 +107,16 @@ func ReplaySeparation(p *platform.Platform, source int, check func(round int, go
 
 		var out, ref SeparationOutcome
 		pooled := len(prod.pool)
-		out.Supported, out.Added = prod.separate(threshold, sol)
+		out.Added = prod.separate(threshold, sol)
 		out.Violated = slices.Clone(prod.sep.violated)
 		out.Pooled = slices.Clone(prod.pool[pooled:])
 		pooled = len(orc.pool)
-		ref.Supported, ref.Violated, ref.Added = oracleSeparate(orc, threshold)
+		ref.Violated, ref.Added = oracleSeparate(orc, threshold)
 		ref.Pooled = slices.Clone(orc.pool[pooled:])
 		check(round, out, ref)
 
 		sol.Cuts = len(prod.seen)
 		if out.Added == 0 {
-			return sol, nil
-		}
-		if tp-out.Supported <= gapTolerance*math.Max(1, tp) {
-			sol.Throughput = out.Supported
 			return sol, nil
 		}
 	}

@@ -17,10 +17,10 @@ var (
 )
 
 // coldEveryRound runs the cutting-plane loop of a fresh session with every
-// round's master re-solved cold on a fresh lp.Revised — no basis, no
-// factorization carried between rounds — and reports its rounds and pivots:
-// the baseline the warm-start tests hold the session's pivot counts to. The
-// separation, cut rows and exits are the session's own.
+// round's master re-solved cold from the slack basis on a fresh lp.Revised —
+// no basis, no factorization carried between rounds — and reports its rounds
+// and pivots: the baseline the warm-start tests hold the session's pivot
+// counts to. The separation, cut rows and exit are the session's own.
 func coldEveryRound(p *platform.Platform, source int, opts *Options) (*Solution, error) {
 	s := NewSession(p, source, opts)
 	s.refreshSeparator()
@@ -46,12 +46,7 @@ func coldEveryRound(p *platform.Platform, source int, opts *Options) (*Solution,
 			s.sep.freshNet.SetCapacity(id, sol.EdgeRate[id])
 		}
 		sol.Throughput = tp
-		supported, violated := s.separate(tp-separationTolerance*math.Max(1, tp), sol)
-		if violated == 0 {
-			return sol, nil
-		}
-		if tp-supported <= gapTolerance*math.Max(1, tp) {
-			sol.Throughput = supported
+		if s.separate(tp-separationTolerance*math.Max(1, tp), sol) == 0 {
 			return sol, nil
 		}
 	}

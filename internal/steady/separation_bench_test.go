@@ -23,9 +23,7 @@ import (
 // flows decide the others; it reports its fresh flows and certified
 // destinations per sweep, and ns/dest for a comparison with the others'
 // ns/flow. It also does the cut bookkeeping the other two skip (crossing
-// links, row dedup against the master), which is what it spends on
-// cluster-of-clusters:512: that loop ends through the gap exit with half the
-// destinations still violated by ~1e-8.
+// links, row dedup against the master).
 //
 //	go test ./internal/steady -run '^$' -bench SeparationSweep -benchtime 20x
 func BenchmarkSeparationSweep(b *testing.B) {

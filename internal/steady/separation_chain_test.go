@@ -16,8 +16,8 @@ import (
 // fresh max-flows where it does not decide), once with the per-destination
 // oracle (a bounded max-flow per destination) — and checks every round: the
 // same violated destinations, the same number of new master rows, the same
-// new cut partitions in the same order, a bit-equal smallest flow, and
-// bit-identical master solutions in the next round. The replay itself must
+// new cut partitions in the same order, and bit-identical master solutions
+// in the next round. The replay itself must
 // reproduce Solve's rounds, cuts and throughput bits, and each round must
 // decide every destination exactly once. Source 0, seed 7.
 func TestChainedSeparationMatchesOracle(t *testing.T) {
@@ -59,9 +59,6 @@ func TestChainedSeparationMatchesOracle(t *testing.T) {
 				}
 				if got.Added != want.Added || !slices.Equal(got.Pooled, want.Pooled) {
 					t.Fatalf("round %d: %d new rows and %d new partitions, oracle %d and %d (or another order)", round, got.Added, len(got.Pooled), want.Added, len(want.Pooled))
-				}
-				if math.Float64bits(got.Supported) != math.Float64bits(want.Supported) {
-					t.Fatalf("round %d: supported %v, oracle %v", round, got.Supported, want.Supported)
 				}
 			}
 			replay, err := steady.ReplaySeparation(p, source, check)

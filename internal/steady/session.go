@@ -52,6 +52,12 @@ type Session struct {
 	seen    map[string]struct{} // packed link sets (packCut) of the master's cut rows
 	cutSeq  int                 // monotone row counter driving the anti-degeneracy RHS perturbation
 	occ     []occRow            // the master's occupation rows, for Solution.PortDual
+	// outCut is the row of the source's initial out-cut and inCut[w] that of
+	// destination w's initial in-cut, -1 where no row was added (a duplicate
+	// cut); crashBasis seeds them.
+	outCut int
+	inCut  []int
+	crash  crashScratch
 
 	// Cut pool: source-side node sets of every cut ever separated, in
 	// separation order, each stored once as its packed signature (packSide).
@@ -186,12 +192,14 @@ func (s *Session) warmResolve(ctx context.Context, deltas []platform.Delta) (*So
 	return s.runLoop(ctx)
 }
 
-// rebuild constructs a fresh master over the platform's current live state
-// and runs the cutting-plane loop on it.
+// rebuild constructs a fresh master over the platform's current live state,
+// seeds its first solve with the crash basis of a spanning tree, and runs the
+// cutting-plane loop on it.
 func (s *Session) rebuild(ctx context.Context) (*Solution, error) {
 	s.stats.Rebuilds++
 	s.buildProblem()
 	s.rev = lp.NewRevised(s.problem, s.opts.lpOptions())
+	s.rev.Crash(s.crashBasis())
 	return s.runLoop(ctx)
 }
 
@@ -231,16 +239,20 @@ func (s *Session) buildProblem() {
 		side[u] = false
 	}
 	side[s.source] = true
-	s.addCut(s.crossingLiveLinks(side), side)
+	s.outCut = s.addInitialCut(side)
 	for u := range side {
 		side[u] = true
 	}
+	if len(s.inCut) != n {
+		s.inCut = make([]int, n)
+	}
 	for w := 0; w < n; w++ {
+		s.inCut[w] = -1
 		if w == s.source || !p.NodeAlive(w) {
 			continue
 		}
 		side[w] = false
-		s.addCut(s.crossingLiveLinks(side), side)
+		s.inCut[w] = s.addInitialCut(side)
 		side[w] = true
 	}
 
@@ -262,6 +274,119 @@ func (s *Session) buildProblem() {
 			s.stats.PoolReused++
 		}
 	}
+}
+
+// addInitialCut adds the cut of the partition as addCut does and returns its
+// master row, or -1 when no row was added.
+func (s *Session) addInitialCut(side []bool) int {
+	if !s.addCut(s.crossingLiveLinks(side), side) {
+		return -1
+	}
+	return s.problem.NumConstraints() - 1
+}
+
+// crashScratch is the node-indexed scratch of crashBasis, kept by the session
+// so that a rebuild allocates nothing for it once the first has sized it.
+type crashScratch struct {
+	via    []int     // tree link into each node, -1 when none yet
+	key    []float64 // slice time of via
+	inTree []bool
+	load   []float64 // per port (u: send, n+u: receive) occupation of the tree at unit rates
+	pairs  []lp.CrashPair
+}
+
+// crashBasis returns the crash basis (lp.Revised.Crash) of the fresh master:
+// a spanning tree of the live platform, grown greedily from the source
+// (Prim's rule: each step attaches the node reached by the live link of
+// smallest slice time, ties going to the lower link ID; O(n² + e)), with
+//
+//   - each tree link basic in its head's in-cut row — except when the source
+//     has exactly one tree child, whose link is basic in the source's
+//     out-cut row instead: that row's slack would otherwise be ε₀ − ε_w < 0
+//     (the perturbation grows with the row);
+//   - TP basic in the occupation row of the tree's busiest port.
+//
+// At that basis every tree link carries TP less its row's perturbation and
+// TP = 1 / (the busiest port's load), so every occupation row holds; every
+// other cut row is crossed by some tree link, which carries TP less the
+// perturbation of an older row, so its slack stays positive: the basis is
+// primal feasible. The LP checks that anyway and starts from the slack basis
+// when it is not. It returns nil when some alive node is out of reach or a
+// row it needs was not added.
+func (s *Session) crashBasis() []lp.CrashPair {
+	p, src, sep, cs := s.p, s.source, s.sep, &s.crash
+	n := p.NumNodes()
+	if len(cs.via) != n {
+		cs.via, cs.key, cs.inTree, cs.load = make([]int, n), make([]float64, n), make([]bool, n), make([]float64, 2*n)
+	}
+	for u := 0; u < n; u++ {
+		cs.via[u], cs.key[u], cs.inTree[u] = -1, math.Inf(1), false
+	}
+	clear(cs.load)
+	attach := func(u int) {
+		cs.inTree[u] = true
+		for _, id := range p.OutLinkIDs(u) {
+			v := sep.to[id]
+			if !sep.live[id] || cs.inTree[v] {
+				continue
+			}
+			if t := p.SliceTime(id); t < cs.key[v] || t == cs.key[v] && id < cs.via[v] {
+				cs.key[v], cs.via[v] = t, id
+			}
+		}
+	}
+	attach(src)
+	children := 0
+	for k, alive := 1, p.NumAliveNodes(); k < alive; k++ {
+		next := -1
+		for v := 0; v < n; v++ {
+			if cs.inTree[v] || cs.via[v] < 0 {
+				continue
+			}
+			if next < 0 || cs.key[v] < cs.key[next] || cs.key[v] == cs.key[next] && cs.via[v] < cs.via[next] {
+				next = v
+			}
+		}
+		if next < 0 {
+			return nil
+		}
+		id := cs.via[next]
+		cs.load[sep.from[id]] += cs.key[next]
+		cs.load[n+next] += cs.key[next]
+		if sep.from[id] == src {
+			children++
+		}
+		attach(next)
+	}
+
+	pairs := cs.pairs[:0]
+	for v, id := range cs.via {
+		if id < 0 {
+			continue // the source, a dead node
+		}
+		row := s.inCut[v]
+		if children == 1 && sep.from[id] == src {
+			row = s.outCut
+		}
+		if row < 0 {
+			return nil
+		}
+		pairs = append(pairs, lp.CrashPair{Row: row, Col: id})
+	}
+	busiest := 0
+	for port, l := range cs.load {
+		if l > cs.load[busiest] {
+			busiest = port
+		}
+	}
+	for _, o := range s.occ {
+		if o.port == busiest {
+			pairs = append(pairs, lp.CrashPair{Row: o.row, Col: p.NumLinks()})
+			break
+		}
+	}
+	cs.pairs = pairs
+	return pairs
 }
 
 // separator is the session-owned state of cut separation: two residual
@@ -330,9 +455,12 @@ func (s *Session) crossingLiveLinks(side []bool) []int {
 // cutPerturbation is the anti-degeneracy right-hand-side perturbation of the
 // cut rows: with dozens of cuts sharing an exact zero RHS the master becomes
 // massively degenerate and the simplex stalls; a distinct tiny positive RHS
-// per row (standard trick) changes the optimum by less than 1e-6, far below
-// the accuracy at which relative performances are reported.
-const cutPerturbation = 1e-9
+// per row (standard trick), cutPerturbation·k on the k-th cut, keeps the
+// rows apart. It moves the optimum by up to the largest such RHS, so it must
+// stay far below Certify's 1e-6 relative bar on the largest masters: at 1e-9
+// it was 1e-5 of TP on star 1024, and star 512, star 1024 and ring 512 (seed
+// 8) failed; at 1e-12 all of them certify.
+const cutPerturbation = 1e-12
 
 // appendCutRow appends the master row TP - Σ_{e in cut} n_e <= ε for the
 // given live edge set (link IDs ascending), unless an identical row is
@@ -410,9 +538,9 @@ func unpackSide(packed string, side []bool) {
 // runLoop runs the cutting-plane loop on the session's current problem: solve
 // the master, separate violated cuts (separate: one chained flow certifies
 // the destinations that are not violated, a fresh max-flow finds the cuts
-// of the others), append them, repeat until no cut is violated or the
-// upper/lower-bound gap closes. The returned Solution reports the pivots and
-// master solves of this Resolve only, and the final master's port prices.
+// of the others), append them, repeat until no cut is violated. The returned
+// Solution reports the pivots and master solves of this Resolve only, and
+// the final master's port prices.
 func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 	p, opts, rev := s.p, s.opts, s.rev
 	e := p.NumLinks()
@@ -435,6 +563,7 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 		sol.WarmPivots = st.WarmPivots - before.WarmPivots
 		sol.ColdPivots = st.ColdPivots - before.ColdPivots
 		sol.ColdSolves = st.ColdSolves - before.ColdSolves
+		sol.CrashRejects = st.CrashRejects - before.CrashRejects
 		s.stats.Rounds += sol.Rounds
 		s.stats.WarmPivots += sol.WarmPivots
 		s.stats.ColdPivots += sol.ColdPivots
@@ -468,7 +597,7 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 			// The simplex ran out of pivots on a degenerate master but still
 			// holds a primal feasible point, so the edge rates are usable for
 			// cut separation. Keep going — but its objective value is NOT an
-			// upper bound on the optimum, so both exits below refuse to
+			// upper bound on the optimum, so the exit below refuses to
 			// terminate on such a round (the next one re-solves with a fresh
 			// budget; a master that never reaches optimality ends in
 			// ErrNoConvergence, not a silently under-reported throughput).
@@ -492,18 +621,14 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 		sol.Throughput = tp
 		sol.UpperBound = tp
 
-		// Separate on the current edge rates; dead links carry nothing. The
-		// smallest destination flow is the throughput the rates actually
-		// support, a feasible lower bound on the optimum, while the master
-		// value tp is an upper bound; the gap exit reads it only when some
-		// destination is violated, and then it is one of the exact flows.
+		// Separate on the current edge rates; dead links carry nothing.
 		sepStart := time.Now()
 		for id, rate := range sol.EdgeRate {
 			sep.chainNet.SetCapacity(id, rate)
 			sep.freshNet.SetCapacity(id, rate)
 		}
 		threshold := tp - separationTolerance*math.Max(1, tp)
-		supported, violated := s.separate(threshold, sol)
+		violated := s.separate(threshold, sol)
 		sol.Cuts = len(s.seen)
 		sol.SepWallNanos += time.Since(sepStart).Nanoseconds()
 		if violated == 0 {
@@ -514,16 +639,6 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 				// Refuse to report it as the converged throughput.
 				return nil, fmt.Errorf("%w: master LP hit its iteration limit before optimality; throughput %v cannot be certified", ErrLPFailed, tp)
 			}
-			sol.PortDual = portDual(p.NumNodes(), rev.Duals(), s.occ)
-			return sol, nil
-		}
-		if lpSol.Status == lp.Optimal && tp-supported <= gapTolerance*math.Max(1, tp) {
-			// The current rates already support a throughput within the gap
-			// tolerance of the upper bound; report the achievable value. The
-			// exit requires an Optimal master: on an iteration-limited round
-			// tp is just some feasible value, so a small (or negative) gap
-			// would certify nothing.
-			sol.Throughput = supported
 			sol.PortDual = portDual(p.NumNodes(), rev.Duals(), s.occ)
 			return sol, nil
 		}
@@ -546,9 +661,7 @@ const chainMargin = 1e-9
 // canonical minimum cuts of every violated destination to the master (they
 // usually differ, and two rows per violated destination roughly halve the
 // master re-solves on hierarchical platforms), destination by destination in
-// index order, and returns the smallest destination flow — a destination at
-// or above the threshold counting as the threshold itself, the value
-// MaxFlowBounded reports for it — and the number of rows added. It leaves in
+// index order, and returns the number of rows added. It leaves in
 // sep.violated which destinations were violated, and counts in sol the
 // destinations a fresh max-flow decided and those the chained flow
 // certified.
@@ -582,24 +695,23 @@ const chainMargin = 1e-9
 // A certified destination's own bounded flow would have reached the
 // threshold, and every other destination's flow is computed exactly as a
 // bounded max-flow per destination computes it, so the violated
-// destinations, their cuts (in the same order) and the returned value are
-// exactly those of the per-destination sweep, and the cutting-plane loop
+// destinations and their cuts (in the same order) are exactly those of the
+// per-destination sweep, and the cutting-plane loop
 // above is unchanged by the chain bit for bit.
-func (s *Session) separate(threshold float64, sol *Solution) (supported float64, added int) {
+func (s *Session) separate(threshold float64, sol *Solution) (added int) {
 	p, source, sep := s.p, s.source, s.sep
 	n := p.NumNodes()
 	chain := threshold * (1 + chainMargin)
-	supported = math.Inf(1)
 	prev := -1
 	for w := 0; w < n; w++ {
 		if w == source || !p.NodeAlive(w) {
 			continue
 		}
-		flow, nw := threshold, sep.freshNet
+		violated, nw := false, sep.freshNet
 		switch {
 		case sep.violated[w]:
 			nw.Reset()
-			flow = nw.MaxFlowBounded(source, w, threshold)
+			violated = !(nw.MaxFlowBounded(source, w, threshold) >= threshold)
 			sol.MaxFlows++
 		case prev >= 0 && sep.chainNet.Reroute(prev, w, chain):
 			sol.Certified++
@@ -613,16 +725,11 @@ func (s *Session) separate(threshold float64, sol *Solution) (supported float64,
 			} else {
 				sol.MaxFlows++
 				prev = -1
-				if !(f >= threshold) {
-					flow = f
-				}
+				violated = !(f >= threshold)
 			}
 		}
-		if flow < supported {
-			supported = flow
-		}
-		sep.violated[w] = !(flow >= threshold)
-		if !sep.violated[w] {
+		sep.violated[w] = violated
+		if !violated {
 			continue
 		}
 		side := nw.MinCutSourceSideInto(source, sep.side)
@@ -634,5 +741,5 @@ func (s *Session) separate(threshold float64, sol *Solution) (supported float64,
 			added++
 		}
 	}
-	return supported, added
+	return added
 }

@@ -24,20 +24,25 @@ type Solution struct {
 	Cuts int
 	// LPIterations is the total number of simplex pivots performed.
 	LPIterations int
-	// UpperBound is the objective value of the final master LP: an upper
-	// bound on the optimal throughput. It equals Throughput when the loop
-	// terminates with no violated cuts, and sits slightly above it when the
-	// gap-based termination reports the achievable lower bound instead.
+	// UpperBound is the objective value of the final master LP. The loop
+	// ends only when no cut is violated, so it equals Throughput.
 	UpperBound float64
 	// WarmPivots and ColdPivots split LPIterations between warm-started
 	// dual-simplex re-solves (reusing the previous round's optimal basis)
-	// and cold solves from the slack basis.
+	// and cold solves from a fresh basis.
 	WarmPivots int
 	ColdPivots int
-	// ColdSolves is the number of master solves that ran from the slack
-	// basis: 1 for a fully warm-started run (plus any fallback) and for
-	// SolveDirect, 0 for a warm delta whose every round re-solved warm.
+	// ColdSolves is the number of master solves that ran from a fresh
+	// basis (a fresh master's first solve starts from its spanning-tree
+	// crash basis, a fallback re-solve from the slack basis): 1 for a fully
+	// warm-started run (plus any fallback) and for SolveDirect, 0 for a warm
+	// delta whose every round re-solved warm.
 	ColdSolves int
+	// CrashRejects counts the fresh masters of this resolve whose crash
+	// basis the LP rejected (lp.SolveStats.CrashRejects), so that their
+	// first solve started from the slack basis; it is 0 on every registry
+	// platform tested.
+	CrashRejects int
 	// LPWallNanos is the wall-clock time spent inside master LP solves
 	// during this resolve, excluding cut separation (the per-destination
 	// max-flows) and everything else around the cutting-plane loop. It
@@ -85,10 +90,6 @@ const (
 	// separationTolerance is the relative violation a cut must exceed to be
 	// separated (relative to max(1, tp)).
 	separationTolerance = 1e-7
-	// gapTolerance stops the cutting-plane loop as soon as the master value
-	// (an upper bound) and the smallest destination max-flow (an achievable
-	// lower bound, then reported) are within gapTolerance·max(1, tp).
-	gapTolerance = 1e-5
 	// defaultPivotBudget bounds the worst-case cost of one master solve: on
 	// rare, highly degenerate masters the simplex can otherwise spend
 	// minutes proving optimality. A phase-2 solve that hits it still returns
